@@ -7,8 +7,10 @@ Two independent routes are provided.
    rewritten as the r-scaled operator
        B psi = -d2psi/dr2 + (1/r) dpsi/dr - d2psi/dz2 = r * omega,
    a 5-point stencil assembled in flux form so that B is self-adjoint and
-   positive in the 1/r-weighted inner product.  Velocity then follows from
-   u_r = -(1/r) dpsi/dz, u_z = (1/r) dpsi/dr.
+   positive in the 1/r-weighted inner product.  B is separable, so one z
+   transform and a batched tridiagonal sweep in r solve it directly
+   (separable.py).  Velocity then follows from u_r = -(1/r) dpsi/dz,
+   u_z = (1/r) dpsi/dr.
 
 2. Kernel route: direct summation of the circular-filament kernel written
    with complete elliptic integrals.  This is O(N) per evaluation point and
@@ -28,9 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ellipe, ellipkm1
 
-from .exceptions import EllipticConvergenceError
 from .grid import HalfPlaneGrid, ScalarField, VelocityField, ddr, ddz
-from .solvers import weighted_pcg
+from .separable import flux_form_radial, solve_separable
 
 
 @dataclass
@@ -44,10 +45,6 @@ class EllipticSolveReport:
 class StreamFunction(ScalarField):
     def __init__(self, grid: HalfPlaneGrid, values: np.ndarray):
         super().__init__(grid, values, role="stream")
-
-    def axis_value_extrapolated(self) -> np.ndarray:
-        """Linear extrapolation of psi to r = 0; vanishes to O(hr^2)."""
-        return 1.5 * self.values[0] - 0.5 * self.values[1]
 
 
 def apply_stream_operator(
@@ -93,46 +90,36 @@ def apply_stream_operator(
     return out
 
 
-def stream_operator_diagonal(
-    grid: HalfPlaneGrid, outer_r: str = "dirichlet", z_bc: str = "dirichlet"
-) -> np.ndarray:
-    nr, nz = grid.nr, grid.nz
-    hr, hz = grid.hr, grid.hz
-    r = grid.r_centers
-    diag_r = np.zeros(nr)
-    faces = np.arange(1, nr) * hr
-    diag_r[:-1] += r[:-1] / (hr**2 * faces)
-    diag_r[1:] += r[1:] / (hr**2 * faces)
-    diag_r[0] += 8.0 * r[0] / hr**3  # axis closure flux 8 psi_0 / hr^2
-    if outer_r == "dirichlet":
-        diag_r[-1] += 2.0 * r[-1] / (hr**2 * grid.r_max)
-    diag_z = np.full(nz, 2.0 / hz**2)
-    if z_bc == "dirichlet":
-        diag_z[0] = 3.0 / hz**2
-        diag_z[-1] = 3.0 / hz**2
-    else:
-        diag_z[0] = 1.0 / hz**2
-        diag_z[-1] = 1.0 / hz**2
-    return diag_r[:, None] + diag_z[None, :]
+def stream_operator_radial(grid: HalfPlaneGrid, outer_r: str = "dirichlet"):
+    """Tridiagonal coefficients (lower, diag, upper) of the radial part of B.
 
-
-def solve_stream_function(
-    omega: ScalarField,
-    tol: float = 1e-10,
-    psi0: np.ndarray | None = None,
-    boundary: str = "zero",
-    maxiter: int = 50000,
-):
-    """Solve for the stream function of a vorticity field.
-
-    tol is the relative residual target in the weighted norm and must lie in
-    (0, 1e-2].  boundary = "kernel" evaluates the summation kernel on the
-    outer boundary faces and uses it as inhomogeneous Dirichlet data, which
-    removes most domain-truncation error.  Raises EllipticConvergenceError
-    (carrying the report) if CG does not converge.
+    The same flux form and closures as apply_stream_operator: face weights
+    1/r_face, the axis closure 8 psi_0 / hr^2, and a homogeneous Dirichlet
+    or zero-flux closure at r_max.
     """
-    if not (0.0 < tol <= 1e-2):
-        raise ValueError(f"tolerance must be in (0, 1e-2], got {tol}")
+    hr = grid.hr
+    r = grid.r_centers
+    face = np.zeros(grid.nr + 1)
+    face[1:-1] = 1.0 / (np.arange(1, grid.nr) * hr)
+    lower, diag, upper = flux_form_radial(r / hr**2, face)
+    diag[0] += 8.0 * r[0] / hr**3
+    if outer_r == "dirichlet":
+        diag[-1] += 2.0 * r[-1] / (hr**2 * grid.r_max)
+    elif outer_r != "neumann":
+        raise ValueError(f"unknown outer_r closure {outer_r!r}")
+    return lower, diag, upper
+
+
+def solve_stream_function(omega: ScalarField, boundary: str = "zero"):
+    """Solve B psi = r omega for the stream function of a vorticity field.
+
+    A separable direct solve (see separable.py), exact up to round-off.
+    boundary = "kernel" evaluates the summation kernel on the outer boundary
+    faces and uses it as inhomogeneous Dirichlet data, which removes most
+    domain-truncation error.  Returns (StreamFunction, EllipticSolveReport);
+    the report's residual is the measured relative residual |B psi - b| / |b|
+    in the 1/r-weighted norm, and iterations is always 0.
+    """
     if boundary not in ("zero", "kernel"):
         raise ValueError(f"unknown boundary treatment {boundary!r}")
     grid = omega.grid
@@ -140,25 +127,12 @@ def solve_stream_function(
     b = grid.r_col * omega.values
     if boundary == "kernel":
         b = b + _kernel_boundary_rhs(omega)
-
-    weight = np.broadcast_to(1.0 / grid.r_col, b.shape)
-    diag = stream_operator_diagonal(grid)
-    x, res = weighted_pcg(
-        lambda v: apply_stream_operator(v, grid),
-        b,
-        weight,
-        diag,
-        x0=psi0,
-        tol=tol,
-        maxiter=maxiter,
-    )
-    report = EllipticSolveReport(res.iterations, res.residual, time.perf_counter() - t0, boundary)
-    if not res.converged:
-        raise EllipticConvergenceError(
-            f"stream solve stalled at residual {res.residual:.3e} after {res.iterations} iterations",
-            report=report,
-        )
-    return StreamFunction(grid, x), report
+    psi = solve_separable(b, stream_operator_radial(grid), grid.hz, "dirichlet")
+    bnorm = np.sqrt(np.sum(b * b / grid.r_col))
+    resid = apply_stream_operator(psi, grid) - b
+    relres = float(np.sqrt(np.sum(resid * resid / grid.r_col)) / bnorm) if bnorm > 0.0 else 0.0
+    report = EllipticSolveReport(0, relres, time.perf_counter() - t0, boundary)
+    return StreamFunction(grid, psi), report
 
 
 def velocity_from_stream(psi: StreamFunction) -> VelocityField:

@@ -21,7 +21,7 @@ import json
 import os
 import sys
 
-from .exceptions import ConfigError, EllipticConvergenceError, NumericalBlowupError
+from .exceptions import ConfigError, NumericalBlowupError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -206,7 +206,7 @@ def cli_main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalBlowupError, EllipticConvergenceError) as exc:
+    except NumericalBlowupError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -3,8 +3,9 @@
 One JSON document describes one run.  The schema is strict: unknown keys are
 rejected and every numeric range is checked, with errors naming the offending
 key.  Physical parameters (grid, viscosity, final time, scheme, initial
-condition, monitored exponents) have no defaults; only solver tolerances and
-output cadences do.  run_from_config executes the run and persists
+condition, monitored exponents) have no defaults; only the step controls,
+the boundary treatment and the output cadences do.  run_from_config executes
+the run and persists
 
     config.json      the document as validated (canonical formatting)
     diagnostics.csv  one row per sampled step, fixed column set
@@ -68,12 +69,9 @@ CONFIG_SCHEMA = {
         "cfl": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
         "theta": {"type": "number", "minimum": 0.5, "maximum": 1},
         "boundary": {"enum": ["zero", "kernel"]},
-        "stream_tol": {"type": "number", "exclusiveMinimum": 0, "maximum": 1e-2},
-        "diffusion_tol": {"type": "number", "exclusiveMinimum": 0, "maximum": 1e-2},
         "sample_every": {"type": "integer", "minimum": 1},
         "checkpoint_every": {"type": "integer", "minimum": 0},
         "blowup_limit": _POSITIVE,
-        "reproducible": {"type": "boolean"},
         "rng_seed": {"type": "integer", "minimum": 0},
     },
 }
@@ -141,12 +139,9 @@ class RunConfig:
     cfl: float = 0.5
     theta: float = 0.5
     boundary: str = "zero"
-    stream_tol: float = 1e-10
-    diffusion_tol: float = 1e-12
     sample_every: int = 1
     checkpoint_every: int = 0
     blowup_limit: float = 1e6
-    reproducible: bool = True
     rng_seed: int = 0
     raw: dict = field(default_factory=dict, repr=False)
 
@@ -168,8 +163,6 @@ class RunConfig:
             theta=self.theta,
             scheme=_SCHEME_MAP[self.scheme],
             boundary=self.boundary,
-            stream_tol=self.stream_tol,
-            diffusion_tol=self.diffusion_tol,
             sample_every=self.sample_every,
             blowup_limit=self.blowup_limit,
         ).validated()
@@ -195,10 +188,7 @@ def run_from_config(config, out_dir: str, extra_hook=None):
     xi0, ic_info = make_initial_condition(
         config.initial_condition, grid, monitor_ps=config.p_list
     )
-    state = make_state(
-        grid, xi0, config.nu, solve=True,
-        stream_tol=config.stream_tol, boundary=config.boundary,
-    )
+    state = make_state(grid, xi0, config.nu, solve=True, boundary=config.boundary)
     plan = config.time_step_plan()
     ps = list(config.p_list)
     collector = DiagnosticsCollector(ps)
@@ -264,8 +254,8 @@ def _config_to_doc(config: RunConfig) -> dict:
         "p_list": list(config.p_list),
     }
     for key in (
-        "dt", "dt_max", "cfl", "theta", "boundary", "stream_tol", "diffusion_tol",
-        "sample_every", "checkpoint_every", "blowup_limit", "reproducible", "rng_seed",
+        "dt", "dt_max", "cfl", "theta", "boundary",
+        "sample_every", "checkpoint_every", "blowup_limit", "rng_seed",
     ):
         value = getattr(config, key)
         if value is not None:

@@ -37,13 +37,13 @@ from .biot_savart import (
     StreamFunction,
     apply_stream_operator,
     solve_stream_function,
-    stream_operator_diagonal,
+    stream_operator_radial,
     velocity_from_stream,
 )
 from .exceptions import NumericalBlowupError
 from .grid import HalfPlaneGrid, ScalarField, VelocityField, build_grid
 from .interpolation import interp_bicubic, sample_velocity
-from .solvers import weighted_pcg
+from .separable import flux_form_radial, solve_separable
 
 CHECKPOINT_MAGIC = "AXF1"
 
@@ -58,7 +58,8 @@ class FluidState:
 
     u_prev and dt_prev hold the velocity at the start of the previous step
     and that step's length; step_viscous extrapolates from them to the step
-    midpoint.  They are None until a step has been taken.
+    midpoint.  They are None until a step has been taken.  boundary is the
+    outer boundary treatment psi and u were last solved with.
     """
 
     grid: HalfPlaneGrid
@@ -70,6 +71,7 @@ class FluidState:
     u: VelocityField | None = None
     u_prev: VelocityField | None = None
     dt_prev: float | None = None
+    boundary: str = "zero"
 
     def omega_field(self) -> ScalarField:
         return ScalarField(self.grid, self.grid.r_col * self.xi.values, role="vorticity")
@@ -81,15 +83,10 @@ class FluidState:
         return max(mr, mz)
 
 
-def refresh_velocity(
-    state: FluidState, tol: float = 1e-10, boundary: str = "zero"
-) -> FluidState:
+def refresh_velocity(state: FluidState, boundary: str = "zero") -> FluidState:
     """Recompute stream function and velocity from the current xi."""
-    psi0 = state.psi.values if state.psi is not None else None
-    psi, _ = solve_stream_function(
-        state.omega_field(), tol=tol, psi0=psi0, boundary=boundary
-    )
-    return replace(state, psi=psi, u=velocity_from_stream(psi))
+    psi, _ = solve_stream_function(state.omega_field(), boundary=boundary)
+    return replace(state, psi=psi, u=velocity_from_stream(psi), boundary=boundary)
 
 
 def make_state(
@@ -98,7 +95,6 @@ def make_state(
     nu: float,
     t: float = 0.0,
     solve: bool = True,
-    stream_tol: float = 1e-10,
     boundary: str = "zero",
 ) -> FluidState:
     """Assemble a FluidState from raw xi values, optionally solving for velocity."""
@@ -108,9 +104,9 @@ def make_state(
         xi = ScalarField(grid, np.asarray(xi, dtype=np.float64), role="relative_vorticity")
     elif xi.role != "relative_vorticity":
         raise ValueError(f"state field must have role 'relative_vorticity', got {xi.role!r}")
-    state = FluidState(grid=grid, xi=xi, nu=float(nu), t=float(t))
+    state = FluidState(grid=grid, xi=xi, nu=float(nu), t=float(t), boundary=boundary)
     if solve:
-        state = refresh_velocity(state, tol=stream_tol, boundary=boundary)
+        state = refresh_velocity(state, boundary=boundary)
     return state
 
 
@@ -151,33 +147,23 @@ def apply_xi_diffusion(values: np.ndarray, grid: HalfPlaneGrid) -> np.ndarray:
     return out
 
 
-def _xi_diffusion_diagonal(grid: HalfPlaneGrid) -> np.ndarray:
-    nr, nz = grid.nr, grid.nz
-    hr, hz = grid.hr, grid.hz
-    face3 = np.zeros(nr + 1)
-    face3[1:nr] = (np.arange(1, nr) * hr) ** 3
-    vol = _xi_volumes(grid)[:, 0] * hr
-    diag_r = (face3[1:] + face3[:-1]) / vol
-    diag_z = np.full(nz, 2.0 / hz**2)
-    diag_z[0] = 1.0 / hz**2
-    diag_z[-1] = 1.0 / hz**2
-    return diag_r[:, None] + diag_z[None, :]
+def _xi_diffusion_radial(grid: HalfPlaneGrid):
+    """Tridiagonal coefficients of the radial part of -apply_xi_diffusion."""
+    hr = grid.hr
+    face = np.zeros(grid.nr + 1)
+    face[1:-1] = (np.arange(1, grid.nr) * hr) ** 3 / hr
+    return flux_form_radial(1.0 / (_xi_volumes(grid)[:, 0] * hr), face)
 
 
 def diffuse_relative_vorticity(
-    xi: ScalarField,
-    nu: float,
-    dt: float,
-    theta: float = 0.5,
-    tol: float = 1e-12,
-    maxiter: int = 20000,
+    xi: ScalarField, nu: float, dt: float, theta: float = 0.5
 ) -> ScalarField:
     """One theta-scheme diffusion step for xi.
 
     theta = 0.5 is Crank-Nicolson (second order in dt), theta = 1 backward
-    Euler.  The implicit system is solved by conjugate gradients in the
-    exact r^3 volume weight, in which the operator is symmetric positive
-    definite.
+    Euler.  The implicit system, symmetric positive definite in the exact
+    r^3 volume weight, is solved directly by the separable solver with
+    zero-flux closures (DCT-II in z).
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -186,41 +172,24 @@ def diffuse_relative_vorticity(
     if nu == 0.0:
         return xi.copy()
     grid = xi.grid
-    c = theta * nu * dt
     lap = apply_xi_diffusion(xi.values, grid)
     rhs = xi.values + ((1.0 - theta) * nu * dt) * lap
-    weight = np.broadcast_to(_xi_volumes(grid), rhs.shape)
-    diag = 1.0 + c * _xi_diffusion_diagonal(grid)
-    sol, res = weighted_pcg(
-        lambda v: v - c * apply_xi_diffusion(v, grid),
-        rhs,
-        weight,
-        diag,
-        x0=xi.values,
-        tol=tol,
-        maxiter=maxiter,
+    sol = solve_separable(
+        rhs, _xi_diffusion_radial(grid), grid.hz, "neumann", shift=1.0, scale=theta * nu * dt
     )
-    if not res.converged:
-        raise NumericalBlowupError(
-            f"diffusion solve stalled at residual {res.residual:.3e}"
-        )
     return xi.with_values(sol)
 
 
 def diffuse_vorticity(
-    omega: ScalarField,
-    nu: float,
-    dt: float,
-    theta: float = 0.5,
-    tol: float = 1e-12,
-    maxiter: int = 20000,
+    omega: ScalarField, nu: float, dt: float, theta: float = 0.5
 ) -> ScalarField:
     """Theta-scheme step for the omega diffusion operator.
 
     The viscous term for omega is d/dr((1/r) d(r omega)/dr) + d2 omega/dz2,
     applied here as -(1/r) B(r omega) with zero-flux truncation closures so
     the operator is self-adjoint in the r weight.  The only cell-sum leak of
-    omega is the physical one through the axis.
+    omega is the physical one through the axis.  The implicit system is
+    solved directly for r omega, where it reads (1 + c B) (r omega) = r rhs.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -230,28 +199,11 @@ def diffuse_vorticity(
         return omega.copy()
     grid = omega.grid
     r = grid.r_col
-    c = theta * nu * dt
-
-    def diff_op(w):
-        return -apply_stream_operator(r * w, grid, outer_r="neumann", z_bc="neumann") / r
-
-    rhs = omega.values + ((1.0 - theta) * nu * dt) * diff_op(omega.values)
-    weight = np.broadcast_to(r, rhs.shape)
-    diag = 1.0 + c * stream_operator_diagonal(grid, outer_r="neumann", z_bc="neumann")
-    sol, res = weighted_pcg(
-        lambda v: v - c * diff_op(v),
-        rhs,
-        weight,
-        diag,
-        x0=omega.values,
-        tol=tol,
-        maxiter=maxiter,
-    )
-    if not res.converged:
-        raise NumericalBlowupError(
-            f"omega diffusion solve stalled at residual {res.residual:.3e}"
-        )
-    return omega.with_values(sol)
+    diff = -apply_stream_operator(r * omega.values, grid, outer_r="neumann", z_bc="neumann") / r
+    rhs = omega.values + ((1.0 - theta) * nu * dt) * diff
+    radial = stream_operator_radial(grid, outer_r="neumann")
+    sol = solve_separable(r * rhs, radial, grid.hz, "neumann", shift=1.0, scale=theta * nu * dt)
+    return omega.with_values(sol / r)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +294,7 @@ def _advanced(
         dt_prev=plan.dt,
     )
     if refresh:
-        return refresh_velocity(new, tol=plan.stream_tol, boundary=plan.boundary)
+        return refresh_velocity(new, boundary=plan.boundary)
     return replace(new, psi=None, u=None)
 
 
@@ -352,22 +304,18 @@ def step_viscous(state: FluidState, plan: "TimeStepPlan", refresh: bool = True) 
     The advection uses the velocity extrapolated to the step midpoint from
     state.u and state.u_prev; a state without history (a fresh or restarted
     run) advects with state.u.  The returned state carries state.u and dt as
-    its history.  plan.dt must be set; tolerances, theta, and the outer
-    boundary treatment are read from the plan as well.
+    its history.  plan.dt must be set; theta and the outer boundary
+    treatment are read from the plan as well.
     """
     dt = _require_dt(plan)
     if state.u is None:
-        state = refresh_velocity(state, tol=plan.stream_tol, boundary=plan.boundary)
+        state = refresh_velocity(state, boundary=plan.boundary)
     xi = state.xi
     if state.nu > 0.0:
-        xi = diffuse_relative_vorticity(
-            xi, state.nu, 0.5 * dt, plan.theta, tol=plan.diffusion_tol
-        )
+        xi = diffuse_relative_vorticity(xi, state.nu, 0.5 * dt, plan.theta)
     xi = advect_semi_lagrangian(xi, _midpoint_velocity(state, dt), dt)
     if state.nu > 0.0:
-        xi = diffuse_relative_vorticity(
-            xi, state.nu, 0.5 * dt, plan.theta, tol=plan.diffusion_tol
-        )
+        xi = diffuse_relative_vorticity(xi, state.nu, 0.5 * dt, plan.theta)
     return _advanced(state, xi, plan, refresh)
 
 
@@ -430,21 +378,17 @@ def step_conservative_omega(
     """
     dt = _require_dt(plan)
     if state.u is None:
-        state = refresh_velocity(state, tol=plan.stream_tol, boundary=plan.boundary)
+        state = refresh_velocity(state, boundary=plan.boundary)
     grid = state.grid
     omega = state.omega_field()
     if state.nu > 0.0:
-        omega = diffuse_vorticity(
-            omega, state.nu, 0.5 * dt, plan.theta, tol=plan.diffusion_tol
-        )
+        omega = diffuse_vorticity(omega, state.nu, 0.5 * dt, plan.theta)
     w = omega.values
     w1 = w + dt * _muscl_rhs(w, state.u)
     w2 = 0.5 * w + 0.5 * (w1 + dt * _muscl_rhs(w1, state.u))
     omega = omega.with_values(w2)
     if state.nu > 0.0:
-        omega = diffuse_vorticity(
-            omega, state.nu, 0.5 * dt, plan.theta, tol=plan.diffusion_tol
-        )
+        omega = diffuse_vorticity(omega, state.nu, 0.5 * dt, plan.theta)
     xi = state.xi.with_values(omega.values / grid.r_col)
     return _advanced(state, xi, plan, refresh)
 
@@ -467,8 +411,6 @@ class TimeStepPlan:
     theta: float = 0.5
     scheme: str = "viscous"
     boundary: str = "zero"
-    stream_tol: float = 1e-10
-    diffusion_tol: float = 1e-12
     sample_every: int = 1
     blowup_limit: float = 1e6
     max_steps: int = 10_000_000
@@ -508,7 +450,7 @@ def run(
     if t_final < state.t:
         raise ValueError(f"t_final {t_final} is before state time {state.t}")
     if state.u is None:
-        state = refresh_velocity(state, tol=plan.stream_tol, boundary=plan.boundary)
+        state = refresh_velocity(state, boundary=plan.boundary)
     stepper = step_viscous if plan.scheme == "viscous" else step_conservative_omega
 
     records = []
@@ -571,6 +513,7 @@ def write_checkpoint(state: FluidState, path: str) -> None:
         "z_max": grid.z_max,
         "t": state.t,
         "nu": state.nu,
+        "boundary": state.boundary,
         "fields": ["xi"],
     }
     with open(path, "wb") as f:
@@ -579,7 +522,11 @@ def write_checkpoint(state: FluidState, path: str) -> None:
 
 
 def read_checkpoint(path: str, solve: bool = False) -> FluidState:
-    """Load a checkpoint written by write_checkpoint."""
+    """Load a checkpoint written by write_checkpoint.
+
+    The state's velocity, if solved, uses the boundary treatment the header
+    records; files written before that field existed get "zero".
+    """
     with open(path, "rb") as f:
         header_line = f.readline()
         payload = f.read()
@@ -605,5 +552,6 @@ def read_checkpoint(path: str, solve: bool = False) -> FluidState:
         )
     values = np.frombuffer(payload, dtype="<f8").reshape(grid.nr, grid.nz).copy()
     return make_state(
-        grid, values, float(header["nu"]), t=float(header["t"]), solve=solve
+        grid, values, float(header["nu"]), t=float(header["t"]), solve=solve,
+        boundary=header.get("boundary", "zero"),
     )

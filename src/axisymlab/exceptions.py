@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-CLI exit-code mapping: ConfigError -> 1 (validation), the numerical
-failures -> 2.
+CLI exit-code mapping: ConfigError -> 1 (validation), NumericalBlowupError
+-> 2 (a field went non-finite or tripped the blow-up guard).  The implicit
+solves are direct, so there is no convergence failure to report.
 """
 
 
@@ -17,13 +18,3 @@ class NumericalBlowupError(RuntimeError):
         self.step_index = step_index
         self.records = records
 
-
-class EllipticConvergenceError(RuntimeError):
-    """Iterative elliptic solve failed to reach tolerance.
-
-    The attached report holds the iteration count and final residual.
-    """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report

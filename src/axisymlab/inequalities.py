@@ -9,7 +9,6 @@ Covered inequalities:
 
 - Muckenhoupt A_p products of the power weight m(r) = r^{-p} over 3-D balls
   (angular integral done analytically, so each ball costs a 2-D quadrature);
-- weighted maximal-regularity ratio ||(1/r) grad u||_p / ||xi||_p;
 - weighted Sobolev ratios with the balance condition (2+alpha)/t =
   (2-s+beta)/s and alpha + t > 0;
 - a dyadic Hardy ratio on the strips [R,2R] x R vs [R,4R] x R;
@@ -23,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import grad_u_magnitude_sq, lp_norm_xi
-from .grid import ScalarField, VelocityField
 from .test_functions import (
     TestFunctionSpec,
     integrate_gradient_power,
@@ -64,18 +61,18 @@ def _conjugate(p: float) -> float:
     return p / (p - 1.0)
 
 
-def _batched_ball_averages(d, x3, R, exponent: float, n: int):
-    """Average of r^exponent over balls, exact in the angular variable.
+def _batched_ball_averages(d, x3, R, exponents, n: int):
+    """Integrals of r^exponent over balls, exact in the angular variable.
 
     d, x3, R are 1-D arrays of equal length.  For each ball the set of
     azimuths inside it at fixed (r, z) has measure 2*theta(r, z) with
     cos(theta) clipped from (r^2 + d^2 + (z - x3)^2 - R^2) / (2 r d); the
     radial factor r^{exponent+1} is integrated exactly across each radial
     quadrature cell so integrable axis singularities cost no accuracy.
-    Returns (weighted integrals, plain volumes); averages share the same
-    theta table, so exponent = 0 gives the volume exactly.  Integrability at
-    the axis (exponent > -2 whenever a ball meets it) is the caller's
-    responsibility.
+    Returns ([weighted integrals, one array per exponent], plain volumes);
+    every integral shares the one theta table, so exponent = 0 gives the
+    volume exactly.  Integrability at the axis (exponent > -2 whenever a
+    ball meets it) is the caller's responsibility.
     """
     d = np.asarray(d, dtype=np.float64)[:, None, None]
     R = np.asarray(R, dtype=np.float64)[:, None, None]
@@ -96,19 +93,20 @@ def _batched_ball_averages(d, x3, R, exponent: float, n: int):
         arg = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.where(num <= 0.0, -1.0, 1.0))
     theta = np.arccos(np.clip(arg, -1.0, 1.0))
 
-    e2 = exponent + 2.0
     lo, hi = r_edges[:, :-1, :], r_edges[:, 1:, :]
-    if e2 == 0.0:
+    weighted = []
+    for exponent in exponents:
+        e2 = exponent + 2.0
         with np.errstate(divide="ignore"):
-            radial = np.log(hi / np.where(lo > 0.0, lo, 1.0))
-            radial = np.where(lo > 0.0, radial, np.inf)
-    else:
-        with np.errstate(divide="ignore"):
-            radial = (hi**e2 - lo**e2) / e2
+            if e2 == 0.0:
+                radial = np.log(hi / np.where(lo > 0.0, lo, 1.0))
+                radial = np.where(lo > 0.0, radial, np.inf)
+            else:
+                radial = (hi**e2 - lo**e2) / e2
+        weighted.append(2.0 * np.sum(theta * radial, axis=(1, 2)) * dz_cell[:, 0])
     vol_radial = (hi**2 - lo**2) / 2.0
-    weighted = 2.0 * np.sum(theta * radial, axis=(1, 2)) * dz_cell[:, 0]
     volume = 2.0 * np.sum(theta * vol_radial, axis=(1, 2)) * dz_cell[:, 0]
-    assert weighted.shape == (m,)
+    assert volume.shape == (m,)
     return weighted, volume
 
 
@@ -123,8 +121,7 @@ def _batched_ap_products(p, d, x3, R, n: int, weight_exponent=None):
             raise ValueError(
                 f"weight r^{expo} is not integrable over a ball meeting the axis"
             )
-    wa, vol = _batched_ball_averages(d, x3, R, e, n)
-    wb, _ = _batched_ball_averages(d, x3, R, dual_e, n)
+    (wa, wb), vol = _batched_ball_averages(d, x3, R, (e, dual_e), n)
     return (wa / vol) * (wb / vol) ** (p / q)
 
 
@@ -219,27 +216,6 @@ def ap_scan(
             sup = float(prods[k])
             arg = Ball3D(float(d[lo + k]), float(x3[lo + k]), float(R[lo + k]))
     return ApScanReport(p, sample_count, sup, arg, near_sup, far_sup, rng_seed, n)
-
-
-# ---------------------------------------------------------------------------
-# field-based ratios
-
-
-def weighted_maxreg_ratio(u: VelocityField, xi: ScalarField, p: float) -> float:
-    """||(1/r) grad u||_{L^p(R^3)} / ||xi||_{L^p(R^3)}.
-
-    The left norm integrates |grad u|^p r^{1-p} (flat measure picks up one r
-    from the volume element and loses p from the 1/r factor).
-    """
-    if not (1.0 < p < 2.0):
-        raise ValueError(f"p must lie in (1, 2), got {p}")
-    denom = lp_norm_xi(xi, p)
-    if denom == 0.0:
-        return 0.0
-    grid = u.grid
-    mag = np.sqrt(grad_u_magnitude_sq(u))
-    num = 2.0 * np.pi * np.sum(mag**p * grid.r_col ** (1.0 - p)) * grid.cell_area
-    return float(num ** (1.0 / p) / denom)
 
 
 # ---------------------------------------------------------------------------

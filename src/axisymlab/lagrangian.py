@@ -32,11 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biot_savart import apply_stream_operator, stream_operator_diagonal
-from .exceptions import NumericalBlowupError
+from .biot_savart import apply_stream_operator, stream_operator_radial
 from .grid import HalfPlaneGrid, ScalarField, VelocityField
 from .interpolation import interp_bicubic, sample_velocity
-from .solvers import weighted_pcg
+from .separable import solve_separable
 from .test_functions import SpaceTimeBump
 
 
@@ -146,10 +145,7 @@ def replay_run_series(doc):
     config = doc if isinstance(doc, RunConfig) else RunConfig.from_dict(doc)
     grid = config.build_grid()
     xi0, _ = make_initial_condition(config.initial_condition, grid, monitor_ps=config.p_list)
-    state = make_state(
-        grid, xi0, config.nu, solve=True,
-        stream_tol=config.stream_tol, boundary=config.boundary,
-    )
+    state = make_state(grid, xi0, config.nu, solve=True, boundary=config.boundary)
     plan = replace(config.time_step_plan(), sample_every=1)
     times, xis, us = [], [], []
 
@@ -463,29 +459,18 @@ def _advect_with_source(values, role_symmetry, u: VelocityField, dt, t, chi, sig
     return out
 
 
-def _diffuse_dual(values, grid, nu, dt, theta=0.5, tol=1e-12, maxiter=20000):
+def _diffuse_dual(values, grid, nu, dt, theta=0.5):
     """Theta-scheme step of d_t f = nu (f_rr - (1/r) f_r + f_zz).
 
     The dual diffusion operator is the negative of the stream operator with
     homogeneous Dirichlet closures on every boundary; it is self-adjoint in
-    the 1/r-weighted inner product.
+    the 1/r-weighted inner product.  The implicit system (1 + c B) f = rhs is
+    solved directly by the separable solver (DST-II in z).
     """
-    c = theta * nu * dt
-
-    def dual_lap(v):
-        return -apply_stream_operator(v, grid)
-
-    rhs = values + ((1.0 - theta) * nu * dt) * dual_lap(values)
-    weight = np.broadcast_to(1.0 / grid.r_col, rhs.shape)
-    diag = 1.0 + c * stream_operator_diagonal(grid)
-    sol, res = weighted_pcg(
-        lambda v: v - c * dual_lap(v), rhs, weight, diag, x0=values, tol=tol, maxiter=maxiter
+    rhs = values - ((1.0 - theta) * nu * dt) * apply_stream_operator(values, grid)
+    return solve_separable(
+        rhs, stream_operator_radial(grid), grid.hz, "dirichlet", shift=1.0, scale=theta * nu * dt
     )
-    if not res.converged:
-        raise NumericalBlowupError(
-            f"dual diffusion solve stalled at residual {res.residual:.3e}"
-        )
-    return sol
 
 
 def solve_forward_transport(

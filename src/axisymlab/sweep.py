@@ -33,7 +33,7 @@ from .grid import ScalarField, integrate_weighted
 class SweepResult:
     nus: list
     sample_times: list            # aligned diagnostic times shared by members
-    pairwise_times: list          # (possibly strided) times of the velocity gaps
+    pairwise_times: list          # times of the velocity gaps (the sample times)
     records: dict                 # nu -> list of DiagnosticsRecord
     pairwise: dict                # (nu_hi, nu_lo) -> list of L2(B_R) velocity gaps
     ball_radius: float
@@ -73,7 +73,6 @@ def sweep(
     out_dir: str,
     ball_radius: float | None = None,
     bound_p: float = 2.0,
-    velocity_stride: int | None = None,
 ):
     """Run the viscosity ladder and aggregate the compactness diagnostics.
 
@@ -109,7 +108,6 @@ def sweep(
     velocity_snaps = {}
     snap_times = None
     failed = None
-    stride = max(int(velocity_stride or 1), 1)
     try:
         for nu in nus:
             member_doc = dict(doc)
@@ -132,7 +130,7 @@ def sweep(
                     "sweep members produced misaligned sample times; "
                     "fix dt and sample_every"
                 )
-            velocity_snaps[nu] = snaps[::stride]
+            velocity_snaps[nu] = snaps
     except NumericalBlowupError as exc:
         failed = exc
 
@@ -156,7 +154,7 @@ def sweep(
     result = SweepResult(
         nus=nus,
         sample_times=list(snap_times or []),
-        pairwise_times=list((snap_times or [])[::stride]),
+        pairwise_times=list(snap_times or []),
         records=all_records,
         pairwise=pairwise,
         ball_radius=float(ball_radius),
@@ -168,7 +166,6 @@ def sweep(
     )
     summary = result.summary_dict()
     summary["status"] = "aborted" if failed is not None else "completed"
-    summary["stride"] = stride
     if failed is not None:
         summary["error"] = str(failed)
     with open(os.path.join(out_dir, "sweep_summary.json"), "w", encoding="utf-8", newline="\n") as f:

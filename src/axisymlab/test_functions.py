@@ -188,11 +188,6 @@ def integrate_gradient_power(
     return float(np.sum(g**power * r2d**weight_exponent) * da)
 
 
-def sample_on_grid(spec: TestFunctionSpec, grid) -> np.ndarray:
-    r2d, z2d = grid.meshes()
-    return spec.value(r2d, z2d)
-
-
 def random_test_functions(
     count: int,
     rng_seed: int,

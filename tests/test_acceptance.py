@@ -126,7 +126,7 @@ def test_criterion_01_velocity_reconstruction():
         xi = hill_vortex_xi(g, a, amp)
         om = ScalarField(g, xi.values * g.r_col, role="vorticity")
         t0 = time.perf_counter()
-        psi, _ = solve_stream_function(om, tol=1e-10, boundary="kernel")
+        psi, _ = solve_stream_function(om, boundary="kernel")
         u = velocity_from_stream(psi)
         elapsed = time.perf_counter() - t0
         if n == 256:
@@ -142,7 +142,7 @@ def test_criterion_01_velocity_reconstruction():
         env = np.exp(-r2d**2 - z2d**2)
         om_s = ScalarField(g, (10.0 * r2d - 4.0 * r2d**3 - 4.0 * r2d * z2d**2) * env,
                            role="vorticity")
-        psi_s, _ = solve_stream_function(om_s, tol=1e-11, boundary="zero")
+        psi_s, _ = solve_stream_function(om_s, boundary="zero")
         u_s = velocity_from_stream(psi_s)
         ur_e = 2.0 * r2d * z2d * env
         uz_e = (2.0 - 2.0 * r2d**2) * env

@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import os
 
@@ -199,6 +200,35 @@ def test_cli_run_and_diag(tmp_path, capsys):
     assert set(row["lp_norms"]) == {"1", "2", "3"}
     assert cli_main(["diag", "--checkpoint", str(tmp_path / "nope.axf1")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_diag_uses_the_runs_boundary(tmp_path, capsys):
+    # diag rebuilds the velocity with the boundary treatment the checkpoint
+    # records, so its energy is the run's own final energy
+    doc = base_doc(grid={"nr": 32, "nz": 64, "r_max": 3.0, "z_min": -3.0, "z_max": 3.0},
+                   boundary="kernel", nu=1e-2, tfinal=0.05, dt=0.01)
+    out = str(tmp_path / "run")
+    assert cli_main(["run", "--config", write_config(tmp_path, doc), "--out", out]) == 0
+    with open(os.path.join(out, "diagnostics.csv"), encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    ckpt = os.path.join(out, "checkpoint_final.axf1")
+    with open(ckpt, "rb") as f:
+        assert json.loads(f.readline())["boundary"] == "kernel"
+    capsys.readouterr()
+    assert cli_main(["diag", "--checkpoint", ckpt]) == 0
+    row = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+    assert row["energy"] == pytest.approx(float(rows[-1]["energy"]), rel=1e-10)
+
+
+@pytest.mark.parametrize("key,value", [("stream_tol", 1e-10), ("diffusion_tol", 1e-12),
+                                       ("reproducible", True)])
+def test_removed_config_keys_rejected(tmp_path, capsys, key, value):
+    doc = base_doc(**{key: value})
+    with pytest.raises(ConfigError, match=key):
+        validate_config_dict(doc)
+    config = write_config(tmp_path, doc)
+    assert cli_main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 1
+    assert key in capsys.readouterr().err
 
 
 def test_cli_exit_code_validation(tmp_path, capsys):

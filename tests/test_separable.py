@@ -1,0 +1,130 @@
+"""The separable direct solver against dense linear algebra.
+
+Each implicit operator is assembled column by column from its apply
+function on a small grid, and np.linalg.solve on that dense matrix is the
+oracle for the fast route.
+"""
+
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import axisymlab
+from axisymlab.biot_savart import (
+    apply_stream_operator,
+    solve_stream_function,
+    stream_operator_radial,
+)
+from axisymlab.evolution import apply_xi_diffusion, diffuse_relative_vorticity, diffuse_vorticity
+from axisymlab.grid import ScalarField, build_grid
+from axisymlab.lagrangian import _diffuse_dual
+from axisymlab.separable import solve_separable
+
+NR, NZ = 6, 10
+NU, DT, THETA = 0.3, 0.2, 0.5
+
+
+def _grid():
+    return build_grid(NR, NZ, 2.0, -1.5, 1.0)
+
+
+def _dense(apply_op):
+    """The matrix of a linear map on (NR, NZ) arrays, C order."""
+    cols = []
+    for k in range(NR * NZ):
+        e = np.zeros(NR * NZ)
+        e[k] = 1.0
+        cols.append(apply_op(e.reshape(NR, NZ)).ravel())
+    return np.column_stack(cols)
+
+
+def _rhs(seed):
+    return np.random.default_rng(seed).standard_normal((NR, NZ))
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+# B with both closures, bare and shifted; bare B with zero flux on every
+# outer side is singular and left out
+CASES = [(outer_r, z_bc, shift, scale)
+         for outer_r in ("dirichlet", "neumann")
+         for z_bc in ("dirichlet", "neumann")
+         for shift, scale in ((0.0, 1.0), (1.0, 0.37))
+         if shift > 0.0 or "dirichlet" in (outer_r, z_bc)]
+
+
+@pytest.mark.parametrize("outer_r,z_bc,shift,scale", CASES)
+def test_solve_separable_matches_dense_stream_operator(outer_r, z_bc, shift, scale):
+    g = _grid()
+    A = _dense(lambda v: shift * v + scale * apply_stream_operator(v, g, outer_r=outer_r, z_bc=z_bc))
+    b = _rhs(1)
+    want = np.linalg.solve(A, b.ravel()).reshape(NR, NZ)
+    got = solve_separable(b, stream_operator_radial(g, outer_r), g.hz, z_bc, shift=shift, scale=scale)
+    assert _rel(got, want) <= 1e-12
+
+
+def test_stream_solve_matches_dense():
+    g = _grid()
+    omega = _rhs(2)
+    want = np.linalg.solve(_dense(lambda v: apply_stream_operator(v, g)),
+                           (g.r_col * omega).ravel()).reshape(NR, NZ)
+    psi, rep = solve_stream_function(ScalarField(g, omega, role="vorticity"))
+    assert _rel(psi.values, want) <= 1e-12
+    assert rep.residual <= 1e-13
+
+
+def _theta_step_oracle(lap, values):
+    """x with (I - theta nu dt L) x = (I + (1 - theta) nu dt L) values, densely."""
+    L = _dense(lap)
+    eye = np.eye(NR * NZ)
+    rhs = (eye + (1.0 - THETA) * NU * DT * L) @ values.ravel()
+    return np.linalg.solve(eye - THETA * NU * DT * L, rhs).reshape(NR, NZ)
+
+
+def test_xi_diffusion_matches_dense():
+    g = _grid()
+    xi = _rhs(3)
+    want = _theta_step_oracle(lambda v: apply_xi_diffusion(v, g), xi)
+    got = diffuse_relative_vorticity(ScalarField(g, xi, role="relative_vorticity"), NU, DT, THETA)
+    assert _rel(got.values, want) <= 1e-12
+
+
+def test_omega_diffusion_matches_dense():
+    g = _grid()
+    r = g.r_col
+    omega = _rhs(4)
+    want = _theta_step_oracle(
+        lambda v: -apply_stream_operator(r * v, g, outer_r="neumann", z_bc="neumann") / r, omega)
+    got = diffuse_vorticity(ScalarField(g, omega, role="vorticity"), NU, DT, THETA)
+    assert _rel(got.values, want) <= 1e-12
+
+
+def test_dual_diffusion_matches_dense():
+    g = _grid()
+    f = _rhs(5)
+    want = _theta_step_oracle(lambda v: -apply_stream_operator(v, g), f)
+    assert _rel(_diffuse_dual(f, g, NU, DT, THETA), want) <= 1e-12
+
+
+def test_solve_separable_rejects_unknown_closure():
+    g = _grid()
+    with pytest.raises(ValueError):
+        solve_separable(_rhs(6), stream_operator_radial(g), g.hz, "periodic")
+    with pytest.raises(ValueError):
+        stream_operator_radial(g, "open")
+
+
+def test_import_does_not_load_scipy_fft():
+    # the solver imports scipy.fft on first use, which keeps it out of the
+    # package import time
+    code = "import axisymlab, sys; print('scipy.fft' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(axisymlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
