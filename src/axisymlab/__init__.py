@@ -114,6 +114,6 @@ from .initial_conditions import (
 from .config import RunConfig, load_config_file, run_from_config, validate_config_dict
 from .sweep import SweepResult, signed_moment_experiment, sweep
 from .cli import cli_main
-from .exceptions import ConfigError, NumericalBlowupError
+from .exceptions import ConfigError, NonFiniteFieldError, NumericalBlowupError
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -13,9 +13,13 @@ Two independent routes are provided.
    u_z = (1/r) dpsi/dr.
 
 2. Kernel route: direct summation of the circular-filament kernel written
-   with complete elliptic integrals.  This is O(N) per evaluation point and
-   is used for validation and for optional inhomogeneous boundary data on
-   the truncated domain.
+   with complete elliptic integrals, used for validation and for optional
+   inhomogeneous boundary data on the truncated domain.  kernel_velocity
+   sums over every nonzero cell, O(N) per evaluation point.
+   kernel_stream_values groups the points by radius and evaluates each
+   distinct kernel argument once, exactly (see its docstring), so the
+   boundary data of one solve cost about nr^2 nz kernel evaluations
+   instead of (2 nr + nz) nr nz.
 
 Boundary conditions for the solve: psi = 0 on the axis (enforced through a
 one-sided axis closure consistent with psi ~ c r^2) and psi = 0 (or
@@ -154,14 +158,14 @@ def check_divergence(u: VelocityField) -> float:
 # circular-filament kernel
 
 
-def _filament_factors(k2: np.ndarray, km1: np.ndarray):
-    """F(k) and F'(k) for the filament stream kernel, with a small-k series.
+def _filament_stream_factor(k2: np.ndarray, km1: np.ndarray):
+    """F(k) = (2/k - k) K(k) - (2/k) E(k) for the filament stream kernel.
 
-    F(k)  = (2/k - k) K(k) - (2/k) E(k)
-    F'(k) = (-2 K(k) + (2 - k^2) E(k) / (1 - k^2)) / k^2
-
-    km1 = 1 - k^2 is passed separately because it is computable without
-    cancellation; both branches of K use ellipkm1 for accuracy near k = 1.
+    Below k^2 = 1e-3 the closed form cancels, so F takes the series
+    (pi/16) k^3 (1 + 3 k^2 / 4) there.  km1 = 1 - k^2 is passed separately
+    because it is computable without cancellation; K uses ellipkm1 for
+    accuracy near k = 1.  Returns F together with the masked parts
+    (small, k2s, km1s, K, E) that F'(k) is built from.
     """
     k2 = np.asarray(k2, dtype=np.float64)
     km1 = np.asarray(km1, dtype=np.float64)
@@ -174,12 +178,25 @@ def _filament_factors(k2: np.ndarray, km1: np.ndarray):
     # an evaluation point exactly on the filament (km1 = 0) yields non-finite
     # factors; callers mask such hits (self-cell exclusion)
     with np.errstate(divide="ignore", invalid="ignore"):
-        F = (2.0 / k - k) * K - (2.0 / k) * E
+        two_k = 2.0 / k
+        F = (two_k - k) * K - two_k * E
+    if np.any(small):  # the series' cube costs as much as K(k) and E(k) together
+        kf = np.sqrt(np.where(small, k2, 0.0))
+        F = np.where(small, (np.pi / 16.0) * kf**3 * (1.0 + 0.75 * k2), F)
+    return F, (small, k2s, km1s, K, E)
+
+
+def _filament_factors(k2: np.ndarray, km1: np.ndarray):
+    """F(k) and F'(k) for the filament kernel, both with a small-k series.
+
+    F'(k) = (-2 K(k) + (2 - k^2) E(k) / (1 - k^2)) / k^2, with the series
+    (3 pi/16) k^2 (1 + 5 k^2 / 4) below k^2 = 1e-3.
+    """
+    F, (small, k2s, km1s, K, E) = _filament_stream_factor(k2, km1)
+    with np.errstate(divide="ignore", invalid="ignore"):
         Fp = (-2.0 * K + (2.0 - k2s) * E / km1s) / k2s
-    kf = np.sqrt(np.where(small, k2, 0.0))
-    F_series = (np.pi / 16.0) * kf**3 * (1.0 + 0.75 * k2)
     Fp_series = (3.0 * np.pi / 16.0) * k2 * (1.0 + 1.25 * k2)
-    return np.where(small, F_series, F), np.where(small, Fp_series, Fp)
+    return F, np.where(small, Fp_series, Fp)
 
 
 def ring_stream(r, z, rbar, zbar):
@@ -189,7 +206,7 @@ def ring_stream(r, z, rbar, zbar):
     d2 = (r + rbar) ** 2 + dz**2
     k2 = 4.0 * r * rbar / d2
     km1 = ((r - rbar) ** 2 + dz**2) / d2
-    F, _ = _filament_factors(k2, km1)
+    F, _ = _filament_stream_factor(k2, km1)
     return np.sqrt(r * rbar) * F / (2.0 * np.pi)
 
 
@@ -265,40 +282,82 @@ def kernel_velocity(
     return out
 
 
+# kernel_stream_values gathers at most this many terms (64 KiB) at a time,
+# unless one point's terms are more; 512 KiB blocks were no faster and raised
+# the peak RSS of a 64x128 kernel-boundary run by about 1 MiB
+_GATHER_BUDGET = 1 << 13
+
+
 def kernel_stream_values(omega: ScalarField, points: np.ndarray) -> np.ndarray:
-    """Stream-function values at query points by kernel summation."""
+    """Stream-function values at query points by kernel summation over cells.
+
+    points is (n, 2) with columns (r, z); any other shape raises ValueError.
+    A point with r <= 0 gets 0.  The value at (r, z) is the midpoint sum of
+    ring_stream(r, z, rbar, zbar) * omega * cell_area over the cells, taken
+    over the bounding box of the nonzero vorticity (cells inside the box
+    with zero vorticity add exactly 0).  A query exactly at a cell centre
+    leaves that one cell out, because its filament passes through the point.
+
+    The kernel depends on z - zbar only through (z - zbar)^2, so points with
+    the same r need one kernel value per source row and distinct |z - zbar|.
+    The points are grouped by exact r; each group evaluates its rows x
+    offsets table once and gathers every point's terms from it.  The table
+    entries are bit-identical to the terms of the plain per-cell sum; only
+    the summation order differs.  On a uniform grid the outer-boundary
+    points of one solve share most offsets: the r = r_max face is one group
+    and the two z faces share one group per cell radius, so about nr^2 nz
+    kernel values replace (2 nr + nz) nr nz.  A lone point costs what the
+    per-cell sum costs.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    src = _source_cells(omega)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError(f"points must have shape (n, 2), got {points.shape}")
     out = np.zeros(points.shape[0])
-    if src is None:
+    rows, cols = (np.flatnonzero(np.any(omega.values != 0.0, axis=a)) for a in (1, 0))
+    if rows.size == 0:
         return out
-    rbar, zbar, gamma = src
-    for i, (rq, zq) in enumerate(points):
+    grid = omega.grid
+    box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+    gamma = omega.values[box] * grid.cell_area
+    rbar = grid.r_centers[box[0], None]
+    zbar = grid.z_centers[box[1]]
+    step = max(_GATHER_BUDGET // gamma.size, 1)  # points per gather
+    radii, group = np.unique(points[:, 0], return_inverse=True)
+    for k, rq in enumerate(radii):
         if rq <= 0.0:
-            out[i] = 0.0
             continue
-        out[i] = np.sum(ring_stream(rq, zq, rbar, zbar) * gamma)
+        sel = np.flatnonzero(group == k)
+        dz = np.abs(points[sel, 1, None] - zbar)
+        offsets, inv = np.unique(dz, return_inverse=True)
+        inv = inv.reshape(dz.shape)
+        table = ring_stream(rq, offsets, rbar, 0.0)
+        table[np.isinf(table)] = 0.0  # a query on a cell centre skips that cell
+        for s in range(0, sel.size, step):
+            terms = table[:, inv[s : s + step]]  # (rows, points, columns)
+            out[sel[s : s + step]] = np.einsum("ipj,ij->p", terms, gamma)
     return out
 
 
 def _kernel_boundary_rhs(omega: ScalarField) -> np.ndarray:
     """Right-hand-side contribution of kernel-evaluated Dirichlet data on the
-    outer boundary faces (ghost = 2 g - interior)."""
+    outer boundary faces (ghost = 2 g - interior).
+
+    One kernel_stream_values call covers the r = r_max face, then z_min,
+    then z_max, so the two z faces share their kernel tables.
+    """
     grid = omega.grid
     nr, nz = grid.nr, grid.nz
-    hr, hz = grid.hr, grid.hz
     rc = grid.r_centers
-    zc = grid.z_centers
+    points = np.vstack([
+        np.column_stack([np.full(nz, grid.r_max), grid.z_centers]),
+        np.column_stack([rc, np.full(nr, grid.z_min)]),
+        np.column_stack([rc, np.full(nr, grid.z_max)]),
+    ])
+    g = kernel_stream_values(omega, points)
     rhs = np.zeros((nr, nz))
-
-    pts_r = np.column_stack([np.full(nz, grid.r_max), zc])
-    g_r = kernel_stream_values(omega, pts_r)
-    rhs[nr - 1, :] += 2.0 * rc[-1] * g_r / (hr**2 * grid.r_max)
-
-    pts_lo = np.column_stack([rc, np.full(nr, grid.z_min)])
-    pts_hi = np.column_stack([rc, np.full(nr, grid.z_max)])
-    rhs[:, 0] += 2.0 * kernel_stream_values(omega, pts_lo) / hz**2
-    rhs[:, nz - 1] += 2.0 * kernel_stream_values(omega, pts_hi) / hz**2
+    rhs[nr - 1, :] += 2.0 * rc[-1] * g[:nz] / (grid.hr**2 * grid.r_max)
+    rhs[:, 0] += 2.0 * g[nz : nz + nr] / grid.hz**2
+    rhs[:, nz - 1] += 2.0 * g[nz + nr :] / grid.hz**2
     return rhs
 
 

@@ -359,13 +359,7 @@ def local_w1p_check(state, R: float, p_star: float, p: float, ref_norms=None):
     u = state.u
     if u is None:
         raise ValueError("state has no cached velocity")
-    dur_dr = ddr(u.u_r, grid, "odd")
-    dur_dz = ddz(u.u_r, grid)
-    duz_dr = ddr(u.u_z, grid, "even")
-    duz_dz = ddz(u.u_z, grid)
-    gmag = np.sqrt(
-        dur_dr**2 + (u.u_r / grid.r_col) ** 2 + dur_dz**2 + duz_dr**2 + duz_dz**2
-    )
+    gmag = np.sqrt(grad_u_magnitude_sq(u))
     speed = np.hypot(u.u_r, u.u_z)
     w = 2.0 * np.pi * grid.r_col * grid.cell_area
     total = np.sum((speed**p_star + gmag**p_star) * w * mask)

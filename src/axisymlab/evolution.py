@@ -40,7 +40,7 @@ from .biot_savart import (
     stream_operator_radial,
     velocity_from_stream,
 )
-from .exceptions import NumericalBlowupError
+from .exceptions import NonFiniteFieldError, NumericalBlowupError
 from .grid import HalfPlaneGrid, ScalarField, VelocityField, build_grid
 from .interpolation import interp_bicubic, sample_velocity
 from .separable import flux_form_radial, solve_separable
@@ -475,9 +475,9 @@ def run(
         dt = min(dt, t_final - state.t)
         try:
             state = stepper(state, replace(plan, dt=dt))
-        except ValueError as exc:
-            # fields validate finiteness on construction, so a ValueError mid
-            # step means the update went non-finite
+        except NonFiniteFieldError as exc:
+            # fields validate finiteness on construction; any other error is
+            # not a numerical failure and propagates unchanged
             raise NumericalBlowupError(
                 f"step {step + 1} aborted: {exc}", step_index=step + 1, records=records
             ) from exc

@@ -3,11 +3,18 @@
 CLI exit-code mapping: ConfigError -> 1 (validation), NumericalBlowupError
 -> 2 (a field went non-finite or tripped the blow-up guard).  The implicit
 solves are direct, so there is no convergence failure to report.
+NonFiniteFieldError is what a field raises when built from non-finite
+values; evolution.run turns it into NumericalBlowupError, and lets every
+other ValueError through unchanged.
 """
 
 
 class ConfigError(ValueError):
     """Invalid configuration, schema violation, or inadmissible parameters."""
+
+
+class NonFiniteFieldError(ValueError):
+    """A grid field (ScalarField, VelocityField) got a non-finite value."""
 
 
 class NumericalBlowupError(RuntimeError):

@@ -18,6 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .exceptions import NonFiniteFieldError
+
 # Parity across r = 0 by field role.  "none" means no symmetry is assumed and
 # one-sided differences are used at the axis as well.
 AXIS_SYMMETRY = {
@@ -106,7 +108,7 @@ class ScalarField:
                 f"values shape {values.shape} does not match grid ({grid.nr}, {grid.nz})"
             )
         if not np.all(np.isfinite(values)):
-            raise ValueError("field values must be finite")
+            raise NonFiniteFieldError("field values must be finite")
         self.grid = grid
         self.values = values
         self.role = role
@@ -136,7 +138,7 @@ class VelocityField:
         if u_r.shape != (grid.nr, grid.nz) or u_z.shape != (grid.nr, grid.nz):
             raise ValueError("velocity component shape does not match grid")
         if not (np.all(np.isfinite(u_r)) and np.all(np.isfinite(u_z))):
-            raise ValueError("velocity values must be finite")
+            raise NonFiniteFieldError("velocity values must be finite")
         self.grid = grid
         self.u_r = u_r
         self.u_z = u_z

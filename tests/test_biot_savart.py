@@ -12,11 +12,13 @@ from axisymlab.biot_savart import (
     solve_stream_function,
     velocity_from_stream,
 )
+from axisymlab.biot_savart import _kernel_boundary_rhs
 from axisymlab.grid import ScalarField, build_grid
 from axisymlab.initial_conditions import (
     hill_vortex_stream,
     hill_vortex_velocity,
     hill_vortex_velocity_field,
+    gaussian_ring_xi,
     hill_vortex_xi,
 )
 
@@ -194,6 +196,12 @@ def test_kernel_velocity_validation():
         kernel_velocity(om, np.array([[0.0, 0.0]]))
     with pytest.raises(ValueError):
         kernel_velocity(om, np.zeros((3, 3)))
+    for bad in (np.zeros((3, 3)), np.zeros((2, 3, 2)), np.zeros(3)):
+        with pytest.raises(ValueError):
+            kernel_stream_values(om, bad)
+    # points on or left of the axis give 0; a single (r, z) pair is one point
+    assert np.array_equal(kernel_stream_values(om, [[0.0, 0.1], [-0.5, 0.0]]), [0.0, 0.0])
+    assert kernel_stream_values(om, [0.5, 0.0]).shape == (1,)
 
 
 def test_kernel_decay_check():
@@ -204,3 +212,101 @@ def test_kernel_decay_check():
     assert all(np.isfinite(v) for v in rep.per_scale.values())
     with pytest.raises(ValueError):
         kernel_decay_check(sample_count=10)
+
+
+# ---------------------------------------------------------------------------
+# kernel_stream_values against the plain per-cell sum
+
+
+def direct_stream_values(omega, points):
+    """The per-cell sum: ring_stream(rq, zq, rbar, zbar) * omega * cell_area
+    over every nonzero cell, one point at a time; 0 for r <= 0.  A cell whose
+    centre is the query point itself is left out (its filament is singular
+    there)."""
+    g = omega.grid
+    r2d, z2d = g.meshes()
+    out = np.zeros(len(points))
+    for i, (rq, zq) in enumerate(points):
+        if rq <= 0.0:
+            continue
+        cells = (omega.values != 0.0) & ~((r2d == rq) & (z2d == zq))
+        gamma = omega.values[cells] * g.cell_area
+        out[i] = np.sum(ring_stream(rq, zq, r2d[cells], z2d[cells]) * gamma)
+    return out
+
+
+def boundary_points(g):
+    """Outer-boundary points: the r = r_max face, then z_min, then z_max."""
+    return np.vstack([
+        np.column_stack([np.full(g.nz, g.r_max), g.z_centers]),
+        np.column_stack([g.r_centers, np.full(g.nr, g.z_min)]),
+        np.column_stack([g.r_centers, np.full(g.nr, g.z_max)]),
+    ])
+
+
+def vorticity(g, support):
+    # Hill's vortex vanishes outside its sphere; the Gaussian ring nowhere
+    if support == "hill":
+        xi = hill_vortex_xi(g, 0.8, 1.0)
+    else:
+        xi = gaussian_ring_xi(g, 1.0, 0.1, 0.3, 1.0)
+    return ScalarField(g, g.r_col * xi.values, role="vorticity")
+
+
+GRIDS = {
+    "dyadic": (64, 128, 3.0, -3.0, 3.0),
+    "non_dyadic": (50, 70, 2.3, -1.7, 1.7),
+}
+
+
+@pytest.mark.parametrize("support", ["hill", "gaussian"])
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_kernel_stream_values_boundary_matches_direct_sum(grid_name, support):
+    g = build_grid(*GRIDS[grid_name])
+    om = vorticity(g, support)
+    assert (np.count_nonzero(om.values) < om.values.size) == (support == "hill")
+    pts = boundary_points(g)
+    got = kernel_stream_values(om, pts)
+    want = direct_stream_values(om, pts)
+    assert np.all(want > 0.0)
+    assert np.max(np.abs(got - want) / want) <= 1e-13
+
+
+@pytest.mark.parametrize("support", ["hill", "gaussian"])
+def test_kernel_stream_values_scattered_points_match_direct_sum(support):
+    g = build_grid(*GRIDS["non_dyadic"])
+    om = vorticity(g, support)
+    rng = np.random.default_rng(5)
+    scattered = np.column_stack([rng.uniform(0.01, 2.5, 40), rng.uniform(-2.0, 2.0, 40)])
+    # shared radii, cell centres inside and outside the support (the middle
+    # one inside Hill's bounding box), and points on or left of the axis
+    shared = np.column_stack([np.full(6, 1.1), rng.uniform(-1.0, 1.0, 6)])
+    centres = np.array([[g.r_centers[i], g.z_centers[j]] for i, j in ((10, 35), (16, 47), (45, 60))])
+    axis = np.array([[0.0, 0.2], [-0.3, -0.1]])
+    pts = np.vstack([scattered, shared, centres, axis, scattered[:3]])
+    got = kernel_stream_values(om, pts)
+    want = direct_stream_values(om, pts)
+    assert np.all(np.isfinite(got))
+    assert np.array_equal(got[pts[:, 0] <= 0.0], [0.0, 0.0])
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+    # a repeated point gets the same value wherever it appears
+    assert np.array_equal(got[-3:], got[:3])
+
+
+@pytest.mark.parametrize("support", ["hill", "gaussian"])
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_kernel_boundary_rhs_matches_per_face_assembly(grid_name, support):
+    g = build_grid(*GRIDS[grid_name])
+    om = vorticity(g, support)
+    nr, nz = g.nr, g.nz
+    rc, zc = g.r_centers, g.z_centers
+    # one direct sum per face, the ghost-cell closure ghost = 2 g - interior
+    want = np.zeros((nr, nz))
+    side = direct_stream_values(om, np.column_stack([np.full(nz, g.r_max), zc]))
+    want[nr - 1, :] += 2.0 * rc[-1] * side / (g.hr**2 * g.r_max)
+    for col, z in ((0, g.z_min), (nz - 1, g.z_max)):
+        face = direct_stream_values(om, np.column_stack([rc, np.full(nr, z)]))
+        want[:, col] += 2.0 * face / g.hz**2
+    got = _kernel_boundary_rhs(om)
+    assert np.array_equal(got != 0.0, want != 0.0)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))

@@ -28,6 +28,7 @@ from axisymlab import (
     sobolev_embedding_ratio,
     write_csv,
 )
+from axisymlab.grid import ddr, ddz
 
 
 def test_lp_norm_closed_form():
@@ -281,3 +282,22 @@ def test_local_w1p_and_embedding():
         sobolev_embedding_ratio(state.u, omega, p=2.0)
     zero = ScalarField(g, np.zeros((48, 96)), role="vorticity")
     assert sobolev_embedding_ratio(state.u, zero, p=1.5) == 0.0
+
+
+def test_local_w1p_gradient_is_grad_u_magnitude():
+    # the ball norm's gradient term is the pointwise |grad u| of
+    # grad_u_magnitude_sq, term for term, so the norm is bit-identical to the
+    # five-term expression written out
+    g = build_grid(48, 96, 3.0, -3.0, 3.0)
+    state = make_state(g, gaussian_ring_xi(g, 1.0, 0.2, 0.3, 1.0), nu=0.01)
+    u, R, p_star = state.u, 1.5, 1.5
+    gmag = np.sqrt(
+        ddr(u.u_r, g, "odd") ** 2 + (u.u_r / g.r_col) ** 2 + ddz(u.u_r, g) ** 2
+        + ddr(u.u_z, g, "even") ** 2 + ddz(u.u_z, g) ** 2
+    )
+    r2d, z2d = g.meshes()
+    mask = (r2d**2 + z2d**2) <= R * R
+    w = 2.0 * np.pi * g.r_col * g.cell_area
+    total = np.sum((np.hypot(u.u_r, u.u_z) ** p_star + gmag**p_star) * w * mask)
+    norm, _ = local_w1p_check(state, R=R, p_star=p_star, p=2.0)
+    assert norm == float(total ** (1.0 / p_star))

@@ -20,7 +20,8 @@ from axisymlab.evolution import (
     step_viscous,
     write_checkpoint,
 )
-from axisymlab.exceptions import NumericalBlowupError
+from axisymlab import evolution
+from axisymlab.exceptions import NonFiniteFieldError, NumericalBlowupError
 from axisymlab.grid import ScalarField, VelocityField, build_grid
 from axisymlab.initial_conditions import gaussian_ring_xi
 
@@ -302,6 +303,40 @@ def test_run_blowup_guard_carries_records():
             sample_hook=lambda s, k: (k, s.t))
     assert info.value.records  # partial samples survive
     assert info.value.step_index is not None
+
+
+def test_run_lets_programming_errors_through(monkeypatch):
+    # only a non-finite field is a numerical failure; any other ValueError
+    # raised inside a step propagates unchanged
+    g = build_grid(16, 32, 3.0, -3.0, 3.0)
+    st = make_state(g, gaussian_ring_xi(g, 1.0, 0.0, 0.3, 1.0), 1e-2, solve=True)
+
+    def broken(state, plan):
+        raise ValueError("argument bug")
+
+    monkeypatch.setattr(evolution, "step_viscous", broken)
+    with pytest.raises(ValueError, match="argument bug") as info:
+        run(st, 0.1, TimeStepPlan(dt=0.02))
+    assert type(info.value) is ValueError
+
+
+def test_run_non_finite_step_raises_blowup_with_records(monkeypatch):
+    g = build_grid(16, 32, 3.0, -3.0, 3.0)
+    st = make_state(g, gaussian_ring_xi(g, 1.0, 0.0, 0.3, 1.0), 1e-2, solve=True)
+    real_step = evolution.step_viscous
+
+    def overflowing(state, plan):
+        if state.step_index < 2:
+            return real_step(state, plan)
+        # the third update overflows: building its field fails the finiteness check
+        return replace(state, xi=state.xi.with_values(state.xi.values * np.inf))
+
+    monkeypatch.setattr(evolution, "step_viscous", overflowing)
+    with pytest.raises(NumericalBlowupError) as info:
+        run(st, 1.0, TimeStepPlan(dt=0.02), sample_hook=lambda s, k: (k, s.t))
+    assert info.value.step_index == 3
+    assert [k for k, _ in info.value.records] == [0, 1, 2]
+    assert isinstance(info.value.__cause__, NonFiniteFieldError)
 
 
 def test_step_index_advances():
