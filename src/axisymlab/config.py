@@ -27,7 +27,7 @@ import numpy as np
 
 from .diagnostics import DiagnosticsCollector, write_csv
 from .evolution import TimeStepPlan, make_state, run, write_checkpoint
-from .exceptions import ConfigError, NumericalBlowupError
+from .exceptions import ConfigError
 from .grid import build_grid
 from .initial_conditions import make_initial_condition
 
@@ -176,10 +176,10 @@ def run_from_config(config, out_dir: str, extra_hook=None):
     """Execute one configured run, persisting outputs under out_dir.
 
     config may be a validated dict or a RunConfig.  Returns (final state,
-    records).  On numerical failure the partial CSV and an aborted manifest
-    are flushed before the error propagates.  extra_hook(state, step), if
-    given, runs at the sampling cadence after diagnostics (the sweep uses it
-    to capture velocity snapshots).
+    records).  If the run raises, the partial CSV and an aborted manifest
+    carrying the error are flushed before the error propagates.
+    extra_hook(state, step), if given, runs at the sampling cadence after
+    diagnostics (the sweep uses it to capture velocity snapshots).
     """
     if isinstance(config, dict):
         config = RunConfig.from_dict(config)
@@ -234,8 +234,8 @@ def run_from_config(config, out_dir: str, extra_hook=None):
 
     try:
         final, records = run(state, config.tfinal, plan, sample_hook=hook)
-    except NumericalBlowupError as exc:
-        flush(exc.records or [], "aborted", error=exc)
+    except Exception as exc:
+        flush(collector.records, "aborted", error=exc)
         raise
     name = "checkpoint_final.axf1"
     write_checkpoint(final, os.path.join(out_dir, name))

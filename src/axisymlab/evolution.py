@@ -210,7 +210,9 @@ def diffuse_vorticity(
 # advection
 
 
-def advect_semi_lagrangian(field: ScalarField, u: VelocityField, dt: float) -> ScalarField:
+def advect_semi_lagrangian(
+    field: ScalarField, u: VelocityField, dt: float, source=None, t: float = 0.0
+) -> ScalarField:
     """Transport a field along characteristics of u over time dt.
 
     Departure points come from an RK2 midpoint integration of dx/dt = u
@@ -218,6 +220,9 @@ def advect_semi_lagrangian(field: ScalarField, u: VelocityField, dt: float) -> S
     bicubic interpolation with the field's own axis parity, clipped to the
     range of the 4x4 stencil each value reads, so trajectories dipping
     across r = 0 are handled by reflection and no new extremum appears.
+    A source, callable (t, r, z) -> array, is added by the trapezoid rule
+    along the characteristic: at the departure point at time t and at the
+    arrival point at time t + dt.
     """
     grid = field.grid
     r2d, z2d = grid.meshes()
@@ -229,7 +234,25 @@ def advect_semi_lagrangian(field: ScalarField, u: VelocityField, dt: float) -> S
     vals = interp_bicubic(
         field.values, grid, dep_r, dep_z, field.axis_symmetry, clip=True
     )
+    if source is not None:
+        vals = vals + 0.5 * dt * (source(t, dep_r, dep_z) + source(t + dt, r2d, z2d))
     return field.with_values(vals)
+
+
+def _split_step(
+    field: ScalarField, u: VelocityField, dt: float, diffuse=None, source=None, t: float = 0.0
+) -> ScalarField:
+    """One Strang-split step: diffuse dt/2, advect dt with source, diffuse dt/2.
+
+    diffuse(field, half_dt) -> field is the diffusion half step, or None for
+    pure advection; source and t are passed to advect_semi_lagrangian.
+    """
+    if diffuse is not None:
+        field = diffuse(field, 0.5 * dt)
+    field = advect_semi_lagrangian(field, u, dt, source, t)
+    if diffuse is not None:
+        field = diffuse(field, 0.5 * dt)
+    return field
 
 
 def cfl_dt(state: FluidState, cfl: float = 0.5, dt_max: float = np.inf) -> float:
@@ -244,8 +267,12 @@ def cfl_dt(state: FluidState, cfl: float = 0.5, dt_max: float = np.inf) -> float
         raise ValueError(f"dt_max must be positive, got {dt_max}")
     if state.u is None:
         raise ValueError("state has no cached velocity; call refresh_velocity first")
-    mr, mz = state.u.max_speeds()
-    grid = state.grid
+    return _advective_dt(state.grid, state.u.max_speeds(), cfl, dt_max)
+
+
+def _advective_dt(grid: HalfPlaneGrid, speeds, cfl: float, dt_max: float = np.inf) -> float:
+    """min(dt_max, cfl * hr / max|u_r|, cfl * hz / max|u_z|), zero speeds skipped."""
+    mr, mz = speeds
     out = dt_max
     if mr > 0.0:
         out = min(out, cfl * grid.hr / mr)
@@ -310,12 +337,12 @@ def step_viscous(state: FluidState, plan: "TimeStepPlan", refresh: bool = True) 
     dt = _require_dt(plan)
     if state.u is None:
         state = refresh_velocity(state, boundary=plan.boundary)
-    xi = state.xi
+    diffuse = None
     if state.nu > 0.0:
-        xi = diffuse_relative_vorticity(xi, state.nu, 0.5 * dt, plan.theta)
-    xi = advect_semi_lagrangian(xi, _midpoint_velocity(state, dt), dt)
-    if state.nu > 0.0:
-        xi = diffuse_relative_vorticity(xi, state.nu, 0.5 * dt, plan.theta)
+        def diffuse(f, half_dt):
+            return diffuse_relative_vorticity(f, state.nu, half_dt, plan.theta)
+
+    xi = _split_step(state.xi, _midpoint_velocity(state, dt), dt, diffuse)
     return _advanced(state, xi, plan, refresh)
 
 

@@ -61,14 +61,16 @@ def _conjugate(p: float) -> float:
     return p / (p - 1.0)
 
 
-def _batched_ball_averages(d, x3, R, exponents, n: int):
+def _batched_ball_averages(d, R, exponents, n: int):
     """Integrals of r^exponent over balls, exact in the angular variable.
 
-    d, x3, R are 1-D arrays of equal length.  For each ball the set of
-    azimuths inside it at fixed (r, z) has measure 2*theta(r, z) with
-    cos(theta) clipped from (r^2 + d^2 + (z - x3)^2 - R^2) / (2 r d); the
-    radial factor r^{exponent+1} is integrated exactly across each radial
-    quadrature cell so integrable axis singularities cost no accuracy.
+    d, R are 1-D arrays of equal length; the weight does not depend on z, so
+    the ball's axial position x3 drops out and z is measured from the centre.
+    For each ball the set of azimuths inside it at fixed (r, z) has measure
+    2*theta(r, z) with cos(theta) clipped from (r^2 + d^2 + z^2 - R^2) /
+    (2 r d); the radial factor r^{exponent+1} is integrated exactly across
+    each radial quadrature cell so integrable axis singularities cost no
+    accuracy.
     Returns ([weighted integrals, one array per exponent], plain volumes);
     every integral shares the one theta table, so exponent = 0 gives the
     volume exactly.  Integrability at the axis (exponent > -2 whenever a
@@ -110,7 +112,7 @@ def _batched_ball_averages(d, x3, R, exponents, n: int):
     return weighted, volume
 
 
-def _batched_ap_products(p, d, x3, R, n: int, weight_exponent=None):
+def _batched_ap_products(p, d, R, n: int, weight_exponent=None):
     e = -p if weight_exponent is None else float(weight_exponent)
     q = _conjugate(p)
     dual_e = -e * q / p
@@ -121,7 +123,7 @@ def _batched_ap_products(p, d, x3, R, n: int, weight_exponent=None):
             raise ValueError(
                 f"weight r^{expo} is not integrable over a ball meeting the axis"
             )
-    (wa, wb), vol = _batched_ball_averages(d, x3, R, (e, dual_e), n)
+    (wa, wb), vol = _batched_ball_averages(d, R, (e, dual_e), n)
     return (wa / vol) * (wb / vol) ** (p / q)
 
 
@@ -138,7 +140,7 @@ def ap_product(p: float, ball: Ball3D, n: int = 64, weight_exponent=None) -> flo
     if n < 8:
         raise ValueError(f"quadrature resolution too small, got {n}")
     out = _batched_ap_products(
-        p, [ball.d], [ball.x3], [ball.R], n, weight_exponent=weight_exponent
+        p, [ball.d], [ball.R], n, weight_exponent=weight_exponent
     )
     return float(out[0])
 
@@ -204,7 +206,7 @@ def ap_scan(
     for lo in range(0, sample_count, chunk):
         hi = min(lo + chunk, sample_count)
         prods = _batched_ap_products(
-            p, d[lo:hi], x3[lo:hi], R[lo:hi], n, weight_exponent=weight_exponent
+            p, d[lo:hi], R[lo:hi], n, weight_exponent=weight_exponent
         )
         far = d[lo:hi] >= 2.0 * R[lo:hi]
         if np.any(far):

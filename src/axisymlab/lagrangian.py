@@ -13,8 +13,9 @@ Contents:
   near zero, and the weak-form renormalization residual tested against a
   library of space-time bumps;
 - forward passive transport and the backward dual problem
-  -d_t f - u . grad f = chi + nu (f_rr - (1/r) f_r + f_zz), integrated with
-  the same splitting machinery, plus the duality defect between the two.
+  -d_t f - u . grad f = chi + nu (f_rr - (1/r) f_r + f_zz), each stepped by
+  the main solver's own Strang-split semi-Lagrangian step
+  (evolution._split_step), plus the duality defect between the two.
 
 Sign convention of the duality identity as implemented:
 
@@ -28,12 +29,14 @@ equal cT * int theta_0 over the box, positive).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .biot_savart import apply_stream_operator, stream_operator_radial
+from .evolution import _advective_dt, _split_step, diffuse_relative_vorticity, make_state, run
 from .grid import HalfPlaneGrid, ScalarField, VelocityField
+from .initial_conditions import make_initial_condition
 from .interpolation import interp_bicubic, sample_velocity
 from .separable import solve_separable
 from .test_functions import SpaceTimeBump
@@ -41,6 +44,13 @@ from .test_functions import SpaceTimeBump
 
 # ---------------------------------------------------------------------------
 # snapshot series with linear time interpolation
+
+
+def _shared_times(a, b, T: float) -> np.ndarray:
+    """The snapshot times of series a, which b must share to 1e-10 * max(1, T)."""
+    if a.times.size != b.times.size or np.max(np.abs(a.times - b.times)) > 1e-10 * max(1.0, T):
+        raise ValueError("the two series must share the time grid")
+    return a.times
 
 
 def _locate(times: np.ndarray, t: float):
@@ -55,8 +65,8 @@ def _locate(times: np.ndarray, t: float):
     return k, k1, float(w)
 
 
-class VelocitySeries:
-    """Velocity snapshots on a shared grid, linearly interpolated in time."""
+class _Series:
+    """Snapshots on a shared grid, linearly interpolated in time."""
 
     def __init__(self, times, fields):
         times = np.asarray(times, dtype=np.float64)
@@ -65,16 +75,22 @@ class VelocitySeries:
         if np.any(np.diff(times) <= 0.0):
             raise ValueError("snapshot times must be strictly increasing")
         grid = fields[0].grid
+        role = getattr(fields[0], "role", None)
         for f in fields:
-            if not f.grid.same_geometry(grid):
-                raise ValueError("all snapshots must share one grid")
+            if not f.grid.same_geometry(grid) or getattr(f, "role", None) != role:
+                raise ValueError("all snapshots must share one grid and role")
         self.times = times
         self.fields = list(fields)
         self.grid = grid
 
     @classmethod
-    def frozen(cls, u: VelocityField, T: float):
-        return cls(np.array([0.0, T]), [u, u])
+    def frozen(cls, field, T: float):
+        """The one snapshot held over [0, T]."""
+        return cls(np.array([0.0, T]), [field, field])
+
+
+class VelocitySeries(_Series):
+    """Velocity snapshots on a shared grid, linearly interpolated in time."""
 
     def at(self, t: float) -> VelocityField:
         k, k1, w = _locate(self.times, t)
@@ -88,33 +104,16 @@ class VelocitySeries:
         )
 
     def max_speeds(self):
-        mr = max(float(np.max(np.abs(f.u_r))) for f in self.fields)
-        mz = max(float(np.max(np.abs(f.u_z))) for f in self.fields)
-        return mr, mz
+        speeds = [f.max_speeds() for f in self.fields]
+        return max(mr for mr, _ in speeds), max(mz for _, mz in speeds)
 
 
-class ScalarSeries:
-    """Scalar snapshots on a shared grid, linearly interpolated in time."""
+class ScalarSeries(_Series):
+    """Scalar snapshots on a shared grid and role, linearly interpolated in time."""
 
-    def __init__(self, times, fields):
-        times = np.asarray(times, dtype=np.float64)
-        if times.ndim != 1 or len(fields) != times.size or times.size < 1:
-            raise ValueError("times and fields must have equal positive length")
-        if np.any(np.diff(times) <= 0.0):
-            raise ValueError("snapshot times must be strictly increasing")
-        grid = fields[0].grid
-        role = fields[0].role
-        for f in fields:
-            if not f.grid.same_geometry(grid) or f.role != role:
-                raise ValueError("all snapshots must share one grid and role")
-        self.times = times
-        self.fields = list(fields)
-        self.grid = grid
-        self.role = role
-
-    @classmethod
-    def frozen(cls, f: ScalarField, T: float):
-        return cls(np.array([0.0, T]), [f, f])
+    @property
+    def role(self) -> str:
+        return self.fields[0].role
 
     def values_at(self, t: float) -> np.ndarray:
         k, k1, w = _locate(self.times, t)
@@ -123,10 +122,7 @@ class ScalarSeries:
         return (1.0 - w) * self.fields[k].values + w * self.fields[k1].values
 
     def sample(self, t: float, r, z) -> np.ndarray:
-        from .grid import AXIS_SYMMETRY
-
-        vals = self.values_at(t)
-        return interp_bicubic(vals, self.grid, r, z, AXIS_SYMMETRY[self.role])
+        return interp_bicubic(self.values_at(t), self.grid, r, z, self.fields[0].axis_symmetry)
 
 
 def replay_run_series(doc):
@@ -136,26 +132,16 @@ def replay_run_series(doc):
     (xi ScalarSeries, VelocitySeries) on the native step grid; the weak-form
     residual quadratures need the full trajectory, which runs do not persist.
     """
-    from dataclasses import replace
-
     from .config import RunConfig
-    from .evolution import make_state, run
-    from .initial_conditions import make_initial_condition
 
     config = doc if isinstance(doc, RunConfig) else RunConfig.from_dict(doc)
     grid = config.build_grid()
     xi0, _ = make_initial_condition(config.initial_condition, grid, monitor_ps=config.p_list)
     state = make_state(grid, xi0, config.nu, solve=True, boundary=config.boundary)
     plan = replace(config.time_step_plan(), sample_every=1)
-    times, xis, us = [], [], []
-
-    def hook(s, k):
-        times.append(s.t)
-        xis.append(s.xi.copy())
-        us.append(s.u.copy())
-        return None
-
-    run(state, config.tfinal, plan, sample_hook=hook)
+    _, samples = run(state, config.tfinal, plan,
+                     sample_hook=lambda s, k: (s.t, s.xi.copy(), s.u.copy()))
+    times, xis, us = zip(*samples)
     return ScalarSeries(np.array(times), xis), VelocitySeries(np.array(times), us)
 
 
@@ -217,16 +203,11 @@ def trace_flow(
         raise ValueError("trace duration must be nonnegative")
     grid = series.grid
     if n_steps is None:
-        mr, mz = series.max_speeds()
-        bound = np.inf
-        if mr > 0.0:
-            bound = min(bound, cfl * grid.hr / mr)
-        if mz > 0.0:
-            bound = min(bound, cfl * grid.hz / mz)
+        bound = _advective_dt(grid, series.max_speeds(), cfl)
         n_steps = 1 if not np.isfinite(bound) or T == 0.0 else max(int(np.ceil(T / bound)), 1)
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
-    dt = T / n_steps if n_steps else 0.0
+    dt = T / n_steps
 
     n = seeds.shape[0]
     positions = np.empty((n_steps + 1, n, 2))
@@ -257,17 +238,26 @@ def trace_flow(
     return FlowMap(seeds, times, positions, active, flagged, grid)
 
 
-def composition_check(xi_series: ScalarSeries, flow: FlowMap, stride: int = 1) -> float:
-    """max over active seeds and sampled times of |xi(t, phi(t)) - xi(0, seed)|."""
-    base = xi_series.sample(flow.times[0], flow.seeds[:, 0], flow.seeds[:, 1])
+def _max_defect(series: ScalarSeries, flow: FlowMap, stride: int, predict) -> float:
+    """max over active seeds and sampled times of |series(t, phi(t)) - predict|.
+
+    predict(base, pos) gives the expected values at positions pos from the
+    series sampled at the seeds at the first time.
+    """
+    base = series.sample(flow.times[0], flow.seeds[:, 0], flow.seeds[:, 1])
     worst = 0.0
     for k in range(0, len(flow.times), max(stride, 1)):
         pos = flow.positions[k]
-        vals = xi_series.sample(flow.times[k], pos[:, 0], pos[:, 1])
-        d = np.abs(vals - base)[flow.active]
+        vals = series.sample(flow.times[k], pos[:, 0], pos[:, 1])
+        d = np.abs(vals - predict(base, pos))[flow.active]
         if d.size:
             worst = max(worst, float(np.max(d)))
     return worst
+
+
+def composition_check(xi_series: ScalarSeries, flow: FlowMap, stride: int = 1) -> float:
+    """max over active seeds and sampled times of |xi(t, phi(t)) - xi(0, seed)|."""
+    return _max_defect(xi_series, flow, stride, lambda base, pos: base)
 
 
 def jacobian_check(omega_series: ScalarSeries, flow: FlowMap, stride: int = 1) -> float:
@@ -276,17 +266,9 @@ def jacobian_check(omega_series: ScalarSeries, flow: FlowMap, stride: int = 1) -
     Equivalent to checking that r / phi_r is the Jacobian of the flow in
     the r-weighted area element.
     """
-    seeds_r = flow.seeds[:, 0]
-    base = omega_series.sample(flow.times[0], seeds_r, flow.seeds[:, 1])
-    worst = 0.0
-    for k in range(0, len(flow.times), max(stride, 1)):
-        pos = flow.positions[k]
-        vals = omega_series.sample(flow.times[k], pos[:, 0], pos[:, 1])
-        pred = base * pos[:, 0] / seeds_r
-        d = np.abs(vals - pred)[flow.active]
-        if d.size:
-            worst = max(worst, float(np.max(d)))
-    return worst
+    return _max_defect(
+        omega_series, flow, stride, lambda base, pos: base * pos[:, 0] / flow.seeds[:, 0]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +352,8 @@ def renorm_residual(
 ) -> float:
     """Weak-form renormalization residual, maximized over a test library.
 
-    For each space-time test function f supported in [0, T) x H:
+    For each space-time test function f supported in [0, T) x H, a
+    SpaceTimeBump (any other type raises ValueError):
 
         R(f) = int_0^T int beta(xi)(f_t + u^r f_r + u^z f_z) r d(r,z) dt
              + int beta(xi(0)) f(0) r d(r,z),
@@ -380,11 +363,11 @@ def renorm_residual(
     R vanishes (to discretization order) iff xi is transported in the
     renormalized sense for this beta.
     """
-    times = xi_series.times
-    if times.size != velocity_series.times.size or np.max(
-        np.abs(times - velocity_series.times)
-    ) > 1e-10 * max(1.0, float(times[-1])):
-        raise ValueError("xi and velocity series must share the time grid")
+    times = _shared_times(xi_series, velocity_series, float(xi_series.times[-1]))
+    tests = list(tests)
+    for f in tests:
+        if not isinstance(f, SpaceTimeBump):
+            raise ValueError(f"test functions must be SpaceTimeBump, got {type(f).__name__}")
     grid = xi_series.grid
     r2d, z2d = grid.meshes()
     w = grid.r_col * grid.cell_area
@@ -392,26 +375,17 @@ def renorm_residual(
 
     worst = 0.0
     for f in tests:
+        # separable bump: evaluate the spatial factor once, sweep the time
+        # weights as scalars
         spatial = np.empty(times.size)
-        if isinstance(f, SpaceTimeBump):
-            # separable bump: evaluate the spatial factor once, sweep the
-            # time weights as scalars
-            b = f.space.value(r2d, z2d)
-            br, bz = f.space.gradient(r2d, z2d)
-            wt, dwt = f.time_weight(times)
-            for k in range(times.size):
-                u = velocity_series.fields[k]
-                integrand = dwt[k] * b + wt[k] * (u.u_r * br + u.u_z * bz)
-                spatial[k] = np.sum(beta_k[k] * integrand * w)
-            f0 = wt[0] * b
-        else:
-            for k, t in enumerate(times):
-                u = velocity_series.fields[k]
-                integrand = f.dt(t, r2d, z2d)
-                gr, gz = f.gradient(t, r2d, z2d)
-                integrand = integrand + u.u_r * gr + u.u_z * gz
-                spatial[k] = np.sum(beta_k[k] * integrand * w)
-            f0 = f.value(times[0], r2d, z2d)
+        b = f.space.value(r2d, z2d)
+        br, bz = f.space.gradient(r2d, z2d)
+        wt, dwt = f.time_weight(times)
+        for k in range(times.size):
+            u = velocity_series.fields[k]
+            integrand = dwt[k] * b + wt[k] * (u.u_r * br + u.u_z * bz)
+            spatial[k] = np.sum(beta_k[k] * integrand * w)
+        f0 = wt[0] * b
         dt = np.diff(times)
         total = float(np.sum(0.5 * dt * (spatial[1:] + spatial[:-1])))
         total += float(np.sum(beta_k[0] * f0 * w))
@@ -436,27 +410,6 @@ def _as_source(chi):
     raise ValueError(
         f"source must be None, a callable, or a ScalarSeries, got {type(chi).__name__}"
     )
-
-
-def _advect_with_source(values, role_symmetry, u: VelocityField, dt, t, chi, sign=1.0):
-    """One semi-Lagrangian step of d_t q + sign * u . grad q = chi.
-
-    Characteristic feet via RK2 midpoint; the source is accumulated by the
-    trapezoid rule along the characteristic.  chi is callable (t, r, z) or
-    None.
-    """
-    grid = u.grid
-    r2d, z2d = grid.meshes()
-    ur0, uz0 = sign * u.u_r, sign * u.u_z
-    rm = r2d - 0.5 * dt * ur0
-    zm = z2d - 0.5 * dt * uz0
-    urm, uzm = sample_velocity(u, rm, zm)
-    dep_r = r2d - dt * sign * urm
-    dep_z = z2d - dt * sign * uzm
-    out = interp_bicubic(values, grid, dep_r, dep_z, role_symmetry, clip=True)
-    if chi is not None:
-        out = out + 0.5 * dt * (chi(t, dep_r, dep_z) + chi(t + dt, r2d, z2d))
-    return out
 
 
 def _diffuse_dual(values, grid, nu, dt, theta=0.5):
@@ -488,8 +441,6 @@ def solve_forward_transport(
     diffusion is Strang-split around the advection exactly as in the main
     solver.
     """
-    from .evolution import diffuse_relative_vorticity
-
     if n_steps < 1 or T <= 0.0:
         raise ValueError("need T > 0 and at least one step")
     source = _as_source(source)
@@ -498,23 +449,15 @@ def solve_forward_transport(
         raise ValueError("initial data and velocity series grids differ")
     dt = T / n_steps
     times = dt * np.arange(n_steps + 1)
-    cur = theta0.copy()
-    fields = [cur]
-    from .grid import AXIS_SYMMETRY
+    diffuse = None
+    if nu > 0.0:
+        def diffuse(f, half_dt):
+            return diffuse_relative_vorticity(f, nu, half_dt, theta_scheme)
 
-    sym = AXIS_SYMMETRY[theta0.role]
-    for k in range(n_steps):
-        t = times[k]
-        work = cur
-        if nu > 0.0:
-            work = diffuse_relative_vorticity(work, nu, 0.5 * dt, theta_scheme)
+    fields = [theta0.copy()]
+    for t in times[:-1]:
         u = velocity_series.at(t + 0.5 * dt)
-        vals = _advect_with_source(work.values, sym, u, dt, t, source, sign=1.0)
-        work = work.with_values(vals)
-        if nu > 0.0:
-            work = diffuse_relative_vorticity(work, nu, 0.5 * dt, theta_scheme)
-        cur = work
-        fields.append(cur)
+        fields.append(_split_step(fields[-1], u, dt, diffuse, source, t))
     return ScalarSeries(times, fields)
 
 
@@ -545,31 +488,23 @@ def solve_backward_transport(
     elif not f_final.grid.same_geometry(grid):
         raise ValueError("final datum grid differs from velocity grid")
     dt = T / n_steps
-    cur = f_final.copy()
-    fields_desc = [cur]
+    diffuse = None
+    if nu > 0.0:
+        def diffuse(f, half_dt):
+            return f.with_values(_diffuse_dual(f.values, grid, nu, half_dt, theta_scheme))
 
-    from .grid import AXIS_SYMMETRY
-
-    sym = AXIS_SYMMETRY[cur.role]
-    chi_tau = None
+    source = None
     if chi is not None:
-        def chi_tau(tau, r, z):
+        def source(tau, r, z):
             return chi(T - tau, r, z)
 
-    for k in range(n_steps):
-        tau = k * dt
-        work = cur
-        if nu > 0.0:
-            work = work.with_values(_diffuse_dual(work.values, grid, nu, 0.5 * dt, theta_scheme))
+    taus = dt * np.arange(n_steps + 1)
+    fields_desc = [f_final.copy()]
+    for tau in taus[:-1]:
         u = velocity_series.at(T - (tau + 0.5 * dt))
-        vals = _advect_with_source(work.values, sym, u, dt, tau, chi_tau, sign=-1.0)
-        work = work.with_values(vals)
-        if nu > 0.0:
-            work = work.with_values(_diffuse_dual(work.values, grid, nu, 0.5 * dt, theta_scheme))
-        cur = work
-        fields_desc.append(cur)
-    times = dt * np.arange(n_steps + 1)
-    return ScalarSeries(times, fields_desc[::-1])
+        reversed_u = VelocityField(grid, -u.u_r, -u.u_z)
+        fields_desc.append(_split_step(fields_desc[-1], reversed_u, dt, diffuse, source, tau))
+    return ScalarSeries(taus, fields_desc[::-1])
 
 
 def duality_check(theta_series: ScalarSeries, f_series: ScalarSeries, chi, T: float) -> float:
@@ -579,11 +514,7 @@ def duality_check(theta_series: ScalarSeries, f_series: ScalarSeries, chi, T: fl
     int theta(0) f(0) r - int theta(T) f(T) r; returns
     |LHS - RHS| / (|LHS| + |RHS| + eps).
     """
-    times = theta_series.times
-    if times.size != f_series.times.size or np.max(np.abs(times - f_series.times)) > 1e-10 * max(
-        1.0, float(T)
-    ):
-        raise ValueError("theta and f series must share the time grid")
+    times = _shared_times(theta_series, f_series, float(T))
     chi = _as_source(chi)
     grid = theta_series.grid
     r2d, z2d = grid.meshes()

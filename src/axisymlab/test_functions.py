@@ -279,19 +279,6 @@ class SpaceTimeBump:
         live = (t >= 0.0) & (t < self.tau)
         return np.where(live, w, 0.0), np.where(live, dw, 0.0)
 
-    def value(self, t, r, z):
-        w, _ = self.time_weight(t)
-        return w * self.space.value(r, z)
-
-    def dt(self, t, r, z):
-        _, dw = self.time_weight(t)
-        return dw * self.space.value(r, z)
-
-    def gradient(self, t, r, z):
-        w, _ = self.time_weight(t)
-        gr, gz = self.space.gradient(r, z)
-        return w * gr, w * gz
-
     def norm(self, n: int = 64) -> float:
         """sup|f| + sup|f_t| + sup|grad f| over a sample of the support."""
         r2d, z2d, _ = support_quadrature(self.space, n)

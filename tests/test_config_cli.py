@@ -139,6 +139,33 @@ def test_run_aborted_manifest(tmp_path):
     assert not os.path.exists(out / "checkpoint_final.axf1")
 
 
+def test_run_programming_error_leaves_aborted_manifest(tmp_path, monkeypatch):
+    # a non-numerical error inside a step still flushes the partial CSV and
+    # an aborted manifest naming the error, then propagates unchanged
+    from axisymlab import evolution
+
+    real_step = evolution.step_viscous
+
+    def broken(state, plan, refresh=True):
+        if state.step_index >= 1:
+            raise ValueError("argument bug")
+        return real_step(state, plan, refresh)
+
+    monkeypatch.setattr(evolution, "step_viscous", broken)
+    cfg = write_config(tmp_path, base_doc(tfinal=0.06))
+    out = tmp_path / "bug"
+    with pytest.raises(ValueError, match="argument bug") as info:
+        cli_main(["run", "--config", cfg, "--out", str(out)])
+    assert type(info.value) is ValueError
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "aborted"
+    assert manifest["error"] == "argument bug"
+    assert manifest["records"] == 2  # the initial state and the one step taken
+    with open(out / "diagnostics.csv", newline="") as fh:
+        assert len(list(csv.reader(fh))) == 3  # header and two rows
+    assert not os.path.exists(out / "checkpoint_final.axf1")
+
+
 def test_checkpoint_cadence_counts_sampling_events(tmp_path):
     out = tmp_path / "ck"
     doc = base_doc(tfinal=0.08, dt=0.01, sample_every=2, checkpoint_every=2)

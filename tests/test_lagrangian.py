@@ -19,6 +19,8 @@ from axisymlab import (
     solve_forward_transport,
     trace_flow,
 )
+from axisymlab.evolution import advect_semi_lagrangian
+from axisymlab.test_functions import random_test_functions
 
 
 def uniform_axial(grid, w):
@@ -269,6 +271,51 @@ def test_renorm_residual_time_grid_mismatch():
         renorm_residual(xis, us, beta, renorm_test_library(1, 1.0, rng_seed=0))
 
 
+def test_renorm_residual_rejects_other_test_functions():
+    g = build_grid(16, 16, 2.0, -1.0, 1.0)
+    xi = ScalarField(g, np.ones((16, 16)), role="relative_vorticity")
+    xis = ScalarSeries.frozen(xi, 1.0)
+    us = VelocitySeries.frozen(uniform_axial(g, 0.0), 1.0)
+    beta = built_in_renorm_functions()["quadratic_clip"]
+    library = renorm_test_library(2, 1.0, rng_seed=0)
+    # a spatial test function has no time factor
+    with pytest.raises(ValueError, match="SpaceTimeBump"):
+        renorm_residual(xis, us, beta, library + random_test_functions(1, 0))
+
+
+def _swirl(g):
+    # psi = r^2 exp(-r^2 - z^2): a smooth divergence-free flow with both components
+    r2d, z2d = g.meshes()
+    env = np.exp(-(r2d**2) - z2d**2)
+    return VelocityField(g, 2.0 * r2d * z2d * env, (2.0 - 2.0 * r2d**2) * env)
+
+
+def test_forward_transport_is_repeated_semi_lagrangian_step():
+    g = build_grid(32, 64, 3.0, -3.0, 3.0)
+    r2d, z2d = g.meshes()
+    u = _swirl(g)
+    theta = ScalarField(g, np.exp(-((r2d - 0.9) ** 2 + z2d**2) / 0.1), role="passive_scalar")
+    series = VelocitySeries.frozen(u, 0.5)
+    out = solve_forward_transport(series, theta, T=0.5, n_steps=5)
+    for k in range(5):
+        # the series blends its two equal snapshots at the step midpoint
+        theta = advect_semi_lagrangian(theta, series.at(0.1 * k + 0.05), 0.1)
+        assert np.array_equal(out.fields[k + 1].values, theta.values)
+
+
+def test_backward_transport_is_advection_by_reversed_velocity():
+    g = build_grid(32, 64, 3.0, -3.0, 3.0)
+    r2d, z2d = g.meshes()
+    u = _swirl(g)
+    series = VelocitySeries.frozen(u, 0.5)
+    f = ScalarField(g, np.exp(-((r2d - 1.1) ** 2 + z2d**2) / 0.1), role="dual")
+    out = solve_backward_transport(series, None, T=0.5, n_steps=5, f_final=f)
+    for k in range(5):
+        mid = series.at(0.5 - (0.1 * k + 0.05))
+        f = advect_semi_lagrangian(f, VelocityField(g, -mid.u_r, -mid.u_z), 0.1)
+        assert np.array_equal(out.fields[4 - k].values, f.values)
+
+
 def test_forward_transport_constant_source():
     g = build_grid(32, 32, 2.0, -1.0, 1.0)
     series = VelocitySeries.frozen(uniform_axial(g, 0.0), 1.0)
@@ -294,6 +341,25 @@ def test_backward_transport_constant_source():
     f_final = ScalarField(g, np.cos(g2), role="dual")
     out2 = solve_backward_transport(series, None, T=1.0, n_steps=8, f_final=f_final)
     assert np.max(np.abs(out2.fields[0].values - f_final.values)) < 1e-12
+
+
+def test_transports_time_dependent_source():
+    # u = 0 and a source linear in t, which the trapezoid rule integrates
+    # exactly: d_t theta = t from 0 gives theta(T) = T^2 / 2, and -d_t f = t
+    # with f(T) = 0 gives f(0) = T^2 / 2
+    g = build_grid(16, 16, 2.0, -1.0, 1.0)
+    series = VelocitySeries.frozen(uniform_axial(g, 0.0), 1.0)
+    theta0 = ScalarField(g, np.zeros((16, 16)), role="passive_scalar")
+
+    def chi(t, r, z):
+        return t + 0.0 * r
+
+    fwd = solve_forward_transport(series, theta0, T=1.0, n_steps=8, source=chi)
+    assert np.max(np.abs(fwd.fields[4].values - 0.125)) < 1e-12
+    assert np.max(np.abs(fwd.fields[-1].values - 0.5)) < 1e-12
+    bwd = solve_backward_transport(series, chi, T=1.0, n_steps=8)
+    assert np.max(np.abs(bwd.fields[4].values - 0.375)) < 1e-12
+    assert np.max(np.abs(bwd.fields[0].values - 0.5)) < 1e-12
 
 
 def test_transport_validation():
