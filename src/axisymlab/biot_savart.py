@@ -28,7 +28,6 @@ kernel-evaluated data) on the three outer boundaries.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +41,6 @@ from .separable import flux_form_radial, solve_separable
 class EllipticSolveReport:
     iterations: int
     residual: float
-    wall_time: float
-    boundary: str = "zero"
 
 
 class StreamFunction(ScalarField):
@@ -121,13 +118,12 @@ def solve_stream_function(omega: ScalarField, boundary: str = "zero"):
     boundary = "kernel" evaluates the summation kernel on the outer boundary
     faces and uses it as inhomogeneous Dirichlet data, which removes most
     domain-truncation error.  Returns (StreamFunction, EllipticSolveReport);
-    the report's residual is the measured relative residual |B psi - b| / |b|
-    in the 1/r-weighted norm, and iterations is always 0.
+    the report holds only the measured relative residual |B psi - b| / |b|
+    in the 1/r-weighted norm and iterations, always 0 for the direct solve.
     """
     if boundary not in ("zero", "kernel"):
         raise ValueError(f"unknown boundary treatment {boundary!r}")
     grid = omega.grid
-    t0 = time.perf_counter()
     b = grid.r_col * omega.values
     if boundary == "kernel":
         b = b + _kernel_boundary_rhs(omega)
@@ -135,8 +131,7 @@ def solve_stream_function(omega: ScalarField, boundary: str = "zero"):
     bnorm = np.sqrt(np.sum(b * b / grid.r_col))
     resid = apply_stream_operator(psi, grid) - b
     relres = float(np.sqrt(np.sum(resid * resid / grid.r_col)) / bnorm) if bnorm > 0.0 else 0.0
-    report = EllipticSolveReport(0, relres, time.perf_counter() - t0, boundary)
-    return StreamFunction(grid, psi), report
+    return StreamFunction(grid, psi), EllipticSolveReport(0, relres)
 
 
 def velocity_from_stream(psi: StreamFunction) -> VelocityField:
@@ -245,9 +240,7 @@ def _source_cells(omega: ScalarField):
     )
 
 
-def kernel_velocity(
-    omega: ScalarField, points: np.ndarray, exclude_self_cell: bool = True
-) -> np.ndarray:
+def kernel_velocity(omega: ScalarField, points: np.ndarray) -> np.ndarray:
     """Velocity at query points by direct kernel summation over cells.
 
     points is (n, 2) with columns (r, z); queries on or left of the axis are
@@ -268,17 +261,9 @@ def kernel_velocity(
     rbar, zbar, gamma = src
     for i, (rq, zq) in enumerate(points):
         ur, uz = ring_velocity(rq, zq, rbar, zbar)
-        if exclude_self_cell:
-            self_mask = (np.abs(rbar - rq) < 0.5 * grid.hr) & (
-                np.abs(zbar - zq) < 0.5 * grid.hz
-            )
-            if np.any(self_mask):
-                keep = ~self_mask
-                out[i, 0] = np.sum(ur[keep] * gamma[keep])
-                out[i, 1] = np.sum(uz[keep] * gamma[keep])
-                continue
-        out[i, 0] = np.sum(ur * gamma)
-        out[i, 1] = np.sum(uz * gamma)
+        keep = (np.abs(rbar - rq) >= 0.5 * grid.hr) | (np.abs(zbar - zq) >= 0.5 * grid.hz)
+        out[i, 0] = np.sum(ur[keep] * gamma[keep])
+        out[i, 1] = np.sum(uz[keep] * gamma[keep])
     return out
 
 

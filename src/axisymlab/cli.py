@@ -122,15 +122,15 @@ def _cmd_verify_ineq(args) -> int:
 
 
 def _cmd_renorm_check(args) -> int:
-    from .config import load_config_file
+    from .config import RunConfig, load_config_file
     from .lagrangian import built_in_renorm_functions, renorm_residual, replay_run_series
     from .test_functions import renorm_test_library
 
     config_path = os.path.join(args.run, "config.json")
     if not os.path.exists(config_path):
         raise ConfigError(f"run directory {args.run} has no config.json")
-    doc = load_config_file(config_path)
-    if doc["tfinal"] <= 0.0:
+    config = RunConfig.from_dict(load_config_file(config_path))
+    if config.tfinal <= 0.0:
         raise ConfigError("renorm-check needs a run with tfinal > 0")
     betas = built_in_renorm_functions()
     if args.beta is not None:
@@ -143,16 +143,16 @@ def _cmd_renorm_check(args) -> int:
     if args.tests < 1:
         raise ConfigError("--tests must be positive")
 
-    xi_series, velocity_series = replay_run_series(doc)
-    library = renorm_test_library(args.tests, doc["tfinal"], rng_seed=doc.get("rng_seed", 0))
+    xi_series, velocity_series = replay_run_series(config)
+    library = renorm_test_library(args.tests, config.tfinal, rng_seed=config.rng_seed)
     residuals = {
         name: renorm_residual(xi_series, velocity_series, beta, library)
         for name, beta in betas.items()
     }
     report = {
         "run": os.path.abspath(args.run),
-        "tfinal": doc["tfinal"],
-        "nu": doc["nu"],
+        "tfinal": config.tfinal,
+        "nu": config.nu,
         "tests": args.tests,
         "residuals": residuals,
     }

@@ -4,8 +4,10 @@ One JSON document describes one run.  The schema is strict: unknown keys are
 rejected and every numeric range is checked, with errors naming the offending
 key.  Physical parameters (grid, viscosity, final time, scheme, initial
 condition, monitored exponents) have no defaults; only the step controls,
-the boundary treatment and the output cadences do.  run_from_config executes
-the run and persists
+the boundary treatment and the output cadences do.  RunConfig keeps the step
+controls as one TimeStepPlan (RunConfig.plan, with TimeStepPlan's defaults),
+and RunConfig.initial_state() builds the solved starting state, boundary
+treatment included.  run_from_config executes the run and persists
 
     config.json      the document as validated (canonical formatting)
     diagnostics.csv  one row per sampled step, fixed column set
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import jsonschema
 import numpy as np
@@ -77,6 +79,7 @@ CONFIG_SCHEMA = {
 }
 
 _SCHEME_MAP = {"xi_semilagrangian": "viscous", "omega_conservative": "conservative"}
+_PLAN_KEYS = ("dt", "dt_max", "cfl", "theta", "sample_every", "blowup_limit")  # TimeStepPlan fields
 
 
 def _schema_error_path(err: jsonschema.ValidationError) -> str:
@@ -119,53 +122,45 @@ def load_config_file(path: str) -> dict:
             doc = json.load(f)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or bytes that are not UTF-8
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return validate_config_dict(doc)
 
 
 @dataclass
 class RunConfig:
-    """Typed view of a validated config document."""
+    """Typed view of a validated config document; build it with from_dict."""
 
+    doc: dict  # the validated document, written to config.json
     grid: dict
     nu: float
     tfinal: float
     scheme: str
     initial_condition: dict
     p_list: list
-    dt: float | None = None
-    dt_max: float | None = None
-    cfl: float = 0.5
-    theta: float = 0.5
+    plan: TimeStepPlan
     boundary: str = "zero"
-    sample_every: int = 1
     checkpoint_every: int = 0
-    blowup_limit: float = 1e6
     rng_seed: int = 0
-    raw: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
         doc = validate_config_dict(doc)
-        kwargs = {k: doc[k] for k in doc}
-        return cls(raw=doc, **kwargs)
+        plan = TimeStepPlan(
+            scheme=_SCHEME_MAP[doc["scheme"]], **{k: doc[k] for k in _PLAN_KEYS if k in doc}
+        ).validated()
+        rest = {k: doc[k] for k in doc if k not in _PLAN_KEYS}
+        return cls(doc=doc, plan=plan, **rest)
 
     def build_grid(self):
         g = self.grid
         return build_grid(g["nr"], g["nz"], g["r_max"], g["z_min"], g["z_max"])
 
-    def time_step_plan(self) -> TimeStepPlan:
-        return TimeStepPlan(
-            dt=self.dt,
-            dt_max=self.dt_max,
-            cfl=self.cfl,
-            theta=self.theta,
-            scheme=_SCHEME_MAP[self.scheme],
-            boundary=self.boundary,
-            sample_every=self.sample_every,
-            blowup_limit=self.blowup_limit,
-        ).validated()
+    def initial_state(self):
+        """The solved starting state of the run and the initial condition's info."""
+        grid = self.build_grid()
+        xi0, ic_info = make_initial_condition(self.initial_condition, grid, monitor_ps=self.p_list)
+        return make_state(grid, xi0, self.nu, solve=True, boundary=self.boundary), ic_info
 
 
 def _canonical_json(doc) -> str:
@@ -184,17 +179,12 @@ def run_from_config(config, out_dir: str, extra_hook=None):
     if isinstance(config, dict):
         config = RunConfig.from_dict(config)
     os.makedirs(out_dir, exist_ok=True)
-    grid = config.build_grid()
-    xi0, ic_info = make_initial_condition(
-        config.initial_condition, grid, monitor_ps=config.p_list
-    )
-    state = make_state(grid, xi0, config.nu, solve=True, boundary=config.boundary)
-    plan = config.time_step_plan()
+    state, ic_info = config.initial_state()
     ps = list(config.p_list)
     collector = DiagnosticsCollector(ps)
 
     with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8", newline="\n") as f:
-        f.write(_canonical_json(config.raw or _config_to_doc(config)))
+        f.write(_canonical_json(config.doc))
 
     checkpoints = []
     sample_count = [0]
@@ -233,7 +223,7 @@ def run_from_config(config, out_dir: str, extra_hook=None):
             f.write(_canonical_json(manifest))
 
     try:
-        final, records = run(state, config.tfinal, plan, sample_hook=hook)
+        final, records = run(state, config.tfinal, config.plan, sample_hook=hook)
     except Exception as exc:
         flush(collector.records, "aborted", error=exc)
         raise
@@ -243,21 +233,3 @@ def run_from_config(config, out_dir: str, extra_hook=None):
     flush(records, "completed")
     return final, records
 
-
-def _config_to_doc(config: RunConfig) -> dict:
-    doc = {
-        "grid": config.grid,
-        "nu": config.nu,
-        "tfinal": config.tfinal,
-        "scheme": config.scheme,
-        "initial_condition": config.initial_condition,
-        "p_list": list(config.p_list),
-    }
-    for key in (
-        "dt", "dt_max", "cfl", "theta", "boundary",
-        "sample_every", "checkpoint_every", "blowup_limit", "rng_seed",
-    ):
-        value = getattr(config, key)
-        if value is not None:
-            doc[key] = value
-    return doc

@@ -221,11 +221,11 @@ def energy_balance_residual(records, nu: float) -> float:
     return float(np.max(np.abs(e + 2.0 * nu * running - e[0])) / e[0])
 
 
-def monotonicity_violations(records, ps, rel_tol: float = 1e-8):
+def monotonicity_violations(records, ps):
     """Worst relative increase of each ||xi||_p between consecutive records.
 
-    Returns {p: max relative increase}; values <= rel_tol mean the norm was
-    non-increasing within tolerance.
+    Returns {p: max relative increase}; a value <= 0 means the norm never
+    increased, and callers compare against their own tolerance.
     """
     out = {}
     for p in ps:

@@ -59,7 +59,8 @@ class FluidState:
     u_prev and dt_prev hold the velocity at the start of the previous step
     and that step's length; step_viscous extrapolates from them to the step
     midpoint.  They are None until a step has been taken.  boundary is the
-    outer boundary treatment psi and u were last solved with.
+    outer boundary treatment ("zero" or "kernel") of every stream solve of
+    this state and of the states stepped from it.
     """
 
     grid: HalfPlaneGrid
@@ -83,10 +84,10 @@ class FluidState:
         return max(mr, mz)
 
 
-def refresh_velocity(state: FluidState, boundary: str = "zero") -> FluidState:
-    """Recompute stream function and velocity from the current xi."""
-    psi, _ = solve_stream_function(state.omega_field(), boundary=boundary)
-    return replace(state, psi=psi, u=velocity_from_stream(psi), boundary=boundary)
+def refresh_velocity(state: FluidState) -> FluidState:
+    """Recompute stream function and velocity from xi with state.boundary."""
+    psi, _ = solve_stream_function(state.omega_field(), boundary=state.boundary)
+    return replace(state, psi=psi, u=velocity_from_stream(psi))
 
 
 def make_state(
@@ -106,7 +107,7 @@ def make_state(
         raise ValueError(f"state field must have role 'relative_vorticity', got {xi.role!r}")
     state = FluidState(grid=grid, xi=xi, nu=float(nu), t=float(t), boundary=boundary)
     if solve:
-        state = refresh_velocity(state, boundary=boundary)
+        state = refresh_velocity(state)
     return state
 
 
@@ -321,7 +322,7 @@ def _advanced(
         dt_prev=plan.dt,
     )
     if refresh:
-        return refresh_velocity(new, boundary=plan.boundary)
+        return refresh_velocity(new)
     return replace(new, psi=None, u=None)
 
 
@@ -331,12 +332,12 @@ def step_viscous(state: FluidState, plan: "TimeStepPlan", refresh: bool = True) 
     The advection uses the velocity extrapolated to the step midpoint from
     state.u and state.u_prev; a state without history (a fresh or restarted
     run) advects with state.u.  The returned state carries state.u and dt as
-    its history.  plan.dt must be set; theta and the outer boundary
-    treatment are read from the plan as well.
+    its history.  plan.dt must be set; theta is read from the plan as well,
+    the outer boundary treatment from the state.
     """
     dt = _require_dt(plan)
     if state.u is None:
-        state = refresh_velocity(state, boundary=plan.boundary)
+        state = refresh_velocity(state)
     diffuse = None
     if state.nu > 0.0:
         def diffuse(f, half_dt):
@@ -405,7 +406,7 @@ def step_conservative_omega(
     """
     dt = _require_dt(plan)
     if state.u is None:
-        state = refresh_velocity(state, boundary=plan.boundary)
+        state = refresh_velocity(state)
     grid = state.grid
     omega = state.omega_field()
     if state.nu > 0.0:
@@ -429,7 +430,8 @@ class TimeStepPlan:
     """Bundle of time-stepping controls for run().
 
     dt = None selects adaptive steps from the advective CFL bound; a fixed
-    dt is truncated on the final step to land on t_final exactly.
+    dt is truncated on the final step to land on t_final exactly.  The state,
+    not the plan, carries the boundary treatment.
     """
 
     dt: float | None = None
@@ -437,7 +439,6 @@ class TimeStepPlan:
     cfl: float = 0.5
     theta: float = 0.5
     scheme: str = "viscous"
-    boundary: str = "zero"
     sample_every: int = 1
     blowup_limit: float = 1e6
     max_steps: int = 10_000_000
@@ -477,7 +478,7 @@ def run(
     if t_final < state.t:
         raise ValueError(f"t_final {t_final} is before state time {state.t}")
     if state.u is None:
-        state = refresh_velocity(state, boundary=plan.boundary)
+        state = refresh_velocity(state)
     stepper = step_viscous if plan.scheme == "viscous" else step_conservative_omega
 
     records = []
@@ -552,7 +553,8 @@ def read_checkpoint(path: str, solve: bool = False) -> FluidState:
     """Load a checkpoint written by write_checkpoint.
 
     The state's velocity, if solved, uses the boundary treatment the header
-    records; files written before that field existed get "zero".
+    records; files written before that field existed get "zero".  A missing
+    or malformed header field raises ValueError naming it.
     """
     with open(path, "rb") as f:
         header_line = f.readline()
@@ -561,16 +563,23 @@ def read_checkpoint(path: str, solve: bool = False) -> FluidState:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"unreadable checkpoint header in {path}: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ValueError(f"checkpoint header in {path} is not a JSON object")
     if header.get("magic") != CHECKPOINT_MAGIC:
         raise ValueError(f"bad checkpoint magic in {path}: {header.get('magic')!r}")
     if header.get("fields") != ["xi"]:
         raise ValueError(f"unsupported checkpoint fields {header.get('fields')!r}")
+
+    def number(key, kind=float):
+        try:
+            return kind(header[key])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"checkpoint header in {path}: field {key!r} is missing or not a number"
+            ) from exc
+
     grid = build_grid(
-        int(header["nr"]),
-        int(header["nz"]),
-        float(header["r_max"]),
-        float(header["z_min"]),
-        float(header["z_max"]),
+        number("nr", int), number("nz", int), number("r_max"), number("z_min"), number("z_max")
     )
     expected = grid.nr * grid.nz * 8
     if len(payload) != expected:
@@ -579,6 +588,6 @@ def read_checkpoint(path: str, solve: bool = False) -> FluidState:
         )
     values = np.frombuffer(payload, dtype="<f8").reshape(grid.nr, grid.nz).copy()
     return make_state(
-        grid, values, float(header["nu"]), t=float(header["t"]), solve=solve,
+        grid, values, number("nu"), t=number("t"), solve=solve,
         boundary=header.get("boundary", "zero"),
     )

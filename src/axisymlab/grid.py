@@ -215,10 +215,9 @@ def ddz(values: np.ndarray, grid: HalfPlaneGrid) -> np.ndarray:
     return out
 
 
-def gradient(f: ScalarField, axis_symmetry: str | None = None):
+def gradient(f: ScalarField):
     """(d/dr f, d/dz f) as ScalarFields; the axis treatment follows the
-    field's role unless overridden."""
-    sym = axis_symmetry if axis_symmetry is not None else f.axis_symmetry
-    fr = ddr(f.values, f.grid, sym)
+    field's role."""
+    fr = ddr(f.values, f.grid, f.axis_symmetry)
     fz = ddz(f.values, f.grid)
     return ScalarField(f.grid, fr, "test"), ScalarField(f.grid, fz, "test")

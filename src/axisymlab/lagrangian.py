@@ -34,9 +34,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .biot_savart import apply_stream_operator, stream_operator_radial
-from .evolution import _advective_dt, _split_step, diffuse_relative_vorticity, make_state, run
+from .evolution import _advective_dt, _split_step, diffuse_relative_vorticity, run
 from .grid import HalfPlaneGrid, ScalarField, VelocityField
-from .initial_conditions import make_initial_condition
 from .interpolation import interp_bicubic, sample_velocity
 from .separable import solve_separable
 from .test_functions import SpaceTimeBump
@@ -93,10 +92,11 @@ class VelocitySeries(_Series):
     """Velocity snapshots on a shared grid, linearly interpolated in time."""
 
     def at(self, t: float) -> VelocityField:
+        """Velocity at t; the snapshot itself on its time or between two copies of it."""
         k, k1, w = _locate(self.times, t)
-        if w == 0.0:
-            return self.fields[k]
         a, b = self.fields[k], self.fields[k1]
+        if w == 0.0 or a is b:
+            return a
         return VelocityField(
             self.grid,
             (1.0 - w) * a.u_r + w * b.u_r,
@@ -128,17 +128,16 @@ class ScalarSeries(_Series):
 def replay_run_series(doc):
     """Re-run a configured simulation, collecting every step as a series.
 
-    Deterministic replay of a run directory's config, returning
-    (xi ScalarSeries, VelocitySeries) on the native step grid; the weak-form
-    residual quadratures need the full trajectory, which runs do not persist.
+    Deterministic replay of a run directory's config (a document or a
+    RunConfig) from RunConfig.initial_state(), returning (xi ScalarSeries,
+    VelocitySeries) on the native step grid; the weak-form residual
+    quadratures need the full trajectory, which runs do not persist.
     """
     from .config import RunConfig
 
     config = doc if isinstance(doc, RunConfig) else RunConfig.from_dict(doc)
-    grid = config.build_grid()
-    xi0, _ = make_initial_condition(config.initial_condition, grid, monitor_ps=config.p_list)
-    state = make_state(grid, xi0, config.nu, solve=True, boundary=config.boundary)
-    plan = replace(config.time_step_plan(), sample_every=1)
+    state, _ = config.initial_state()
+    plan = replace(config.plan, sample_every=1)
     _, samples = run(state, config.tfinal, plan,
                      sample_hook=lambda s, k: (s.t, s.xi.copy(), s.u.copy()))
     times, xis, us = zip(*samples)
@@ -155,7 +154,7 @@ class FlowMap:
     times: np.ndarray          # (m+1,)
     positions: np.ndarray      # (m+1, n, 2)
     active: np.ndarray         # (n,) False once a trajectory left the domain
-    axis_flagged: np.ndarray   # (n,) True if r dipped below -axis_tol
+    axis_flagged: np.ndarray   # (n,) True if r dipped below -1e-8
     grid: HalfPlaneGrid
 
     def final_positions(self) -> np.ndarray:
@@ -183,7 +182,6 @@ def trace_flow(
     t0: float = 0.0,
     cfl: float = 0.5,
     n_steps: int | None = None,
-    axis_tol: float = 1e-8,
 ) -> FlowMap:
     """Integrate particle trajectories through a velocity series.
 
@@ -192,7 +190,7 @@ def trace_flow(
     The step count honors the advective CFL bound unless n_steps is forced.
     Trajectories that exit the truncated domain are frozen at their last
     interior position and marked inactive; trajectories whose r-coordinate
-    drops below -axis_tol are flagged (axisymmetry forbids axis crossing).
+    drops below -1e-8 are flagged (axisymmetry forbids axis crossing).
     """
     seeds = np.atleast_2d(np.asarray(seeds, dtype=np.float64))
     if seeds.shape[1] != 2:
@@ -233,7 +231,7 @@ def trace_flow(
         keep = active & inside
         x = np.where(keep[:, None], x_new, x)  # exits stay frozen at last interior point
         active &= inside
-        flagged |= x[:, 0] < -abs(axis_tol)
+        flagged |= x[:, 0] < -1e-8
         positions[k + 1] = x
     return FlowMap(seeds, times, positions, active, flagged, grid)
 
@@ -433,13 +431,12 @@ def solve_forward_transport(
     n_steps: int,
     nu: float = 0.0,
     source=None,
-    theta_scheme: float = 0.5,
 ) -> ScalarSeries:
     """March d_t theta + u . grad theta = source + nu*(5-D radial Laplacian).
 
     Returns the full snapshot series on the uniform step grid.  With nu > 0
-    diffusion is Strang-split around the advection exactly as in the main
-    solver.
+    Crank-Nicolson diffusion is Strang-split around the advection exactly as
+    in the main solver.
     """
     if n_steps < 1 or T <= 0.0:
         raise ValueError("need T > 0 and at least one step")
@@ -452,7 +449,7 @@ def solve_forward_transport(
     diffuse = None
     if nu > 0.0:
         def diffuse(f, half_dt):
-            return diffuse_relative_vorticity(f, nu, half_dt, theta_scheme)
+            return diffuse_relative_vorticity(f, nu, half_dt)
 
     fields = [theta0.copy()]
     for t in times[:-1]:
@@ -468,16 +465,15 @@ def solve_backward_transport(
     n_steps: int,
     nu: float = 0.0,
     f_final: ScalarField | None = None,
-    theta_scheme: float = 0.5,
 ) -> ScalarSeries:
     """Solve -d_t f - u . grad f = chi + nu (f_rr - (1/r) f_r + f_zz) on [0, T].
 
     chi is callable (t, r, z) -> array (or None).  The final datum f(T)
     defaults to zero.  Substituting tau = T - t turns this into forward
     advection by the reversed velocity with source chi(T - tau) and the
-    dual (Dirichlet) diffusion operator; that forward problem is integrated
-    with the same splitting as the primary solver.  The returned series is
-    indexed by physical time t, ascending.
+    dual (Dirichlet, Crank-Nicolson) diffusion operator; that forward problem
+    is integrated with the same splitting as the primary solver.  The returned
+    series is indexed by physical time t, ascending.
     """
     if n_steps < 1 or T <= 0.0:
         raise ValueError("need T > 0 and at least one step")
@@ -491,7 +487,7 @@ def solve_backward_transport(
     diffuse = None
     if nu > 0.0:
         def diffuse(f, half_dt):
-            return f.with_values(_diffuse_dual(f.values, grid, nu, half_dt, theta_scheme))
+            return f.with_values(_diffuse_dual(f.values, grid, nu, half_dt))
 
     source = None
     if chi is not None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig, _canonical_json, run_from_config, validate_config_dict
+from .config import RunConfig, _canonical_json, run_from_config
 from .diagnostics import _ball_mask
 from .evolution import TimeStepPlan, make_state, run
 from .exceptions import ConfigError, NumericalBlowupError
@@ -90,18 +90,20 @@ def sweep(
         raise ConfigError("sweep viscosities must be positive")
     doc = dict(base_config)
     doc["nu"] = nus[0]
-    doc = validate_config_dict(doc)
-    if doc.get("dt") is None:
+    config = RunConfig.from_dict(doc)
+    if config.plan.dt is None:
         raise ConfigError(
             "sweep members must share a fixed dt schedule; set 'dt' in the config"
         )
     if not (bound_p > 1.5):
         raise ConfigError(f"deficit bound exponent needs p > 3/2, got {bound_p}")
-    config = RunConfig.from_dict(doc)
     grid = config.build_grid()
     if ball_radius is None:
         ball_radius = 0.5 * min(grid.r_max, grid.z_max, -grid.z_min)
-    mask = _ball_mask(grid, ball_radius)
+    try:
+        mask = _ball_mask(grid, ball_radius)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     os.makedirs(out_dir, exist_ok=True)
     all_records = {}

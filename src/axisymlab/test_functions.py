@@ -188,30 +188,24 @@ def integrate_gradient_power(
     return float(np.sum(g**power * r2d**weight_exponent) * da)
 
 
-def random_test_functions(
-    count: int,
-    rng_seed: int,
-    r_range=(0.6, 3.0),
-    z_range=(-2.0, 2.0),
-    width_range=(0.05, 0.4),
-    amplitude_range=(0.2, 5.0),
-    families=("gaussian_bump", "ring_bump", "poly_bump"),
-):
+def random_test_functions(count: int, rng_seed: int, width_range=(0.05, 0.4)):
     """Randomized family with supports strictly inside {r > 0}.
 
-    Widths and amplitudes are log-uniform; centers uniform.  Construction
-    guarantees the axis margin by shrinking widths that would touch r = 0.
+    Members cycle through gaussian, ring and poly bumps.  Widths and
+    amplitudes (in [0.2, 5]) are log-uniform; centers uniform in
+    [0.6, 3] x [-2, 2].  Construction guarantees the axis margin by shrinking
+    widths that would touch r = 0.
     """
     if count < 1:
         raise ValueError("count must be positive")
     rng = np.random.default_rng(rng_seed)
     out = []
     for i in range(count):
-        family = families[i % len(families)]
-        r0 = rng.uniform(*r_range)
-        z0 = rng.uniform(*z_range)
+        family = ("gaussian_bump", "ring_bump", "poly_bump")[i % 3]
+        r0 = rng.uniform(0.6, 3.0)
+        z0 = rng.uniform(-2.0, 2.0)
         w = np.exp(rng.uniform(np.log(width_range[0]), np.log(width_range[1])))
-        amp = np.exp(rng.uniform(np.log(amplitude_range[0]), np.log(amplitude_range[1])))
+        amp = np.exp(rng.uniform(np.log(0.2), np.log(5.0)))
         w = min(w, 0.45 * r0)
         if family == "gaussian_bump":
             wz = w * np.exp(rng.uniform(-0.5, 0.5))
@@ -290,18 +284,10 @@ class SpaceTimeBump:
         return float(np.max(w) * (v + g) + np.max(np.abs(dw)) * v)
 
 
-def renorm_test_library(
-    count: int,
-    T: float,
-    rng_seed: int,
-    r_range=(0.6, 3.0),
-    z_range=(-2.0, 2.0),
-    width_range=(0.08, 0.4),
-):
-    """Space-time bump library spanning [0, T) with mixed time profiles."""
-    specs = random_test_functions(
-        count, rng_seed, r_range=r_range, z_range=z_range, width_range=width_range
-    )
+def renorm_test_library(count: int, T: float, rng_seed: int):
+    """Space-time bump library spanning [0, T) with mixed time profiles and
+    spatial widths in [0.08, 0.4]."""
+    specs = random_test_functions(count, rng_seed, width_range=(0.08, 0.4))
     rng = np.random.default_rng(rng_seed + 1)
     out = []
     for i, s in enumerate(specs):

@@ -45,11 +45,11 @@ def test_validate_config_roundtrip():
     doc = base_doc()
     assert validate_config_dict(doc) is doc
     config = RunConfig.from_dict(doc)
-    assert config.nu == 1e-3 and config.dt == 0.02
-    assert config.sample_every == 1 and config.checkpoint_every == 0
+    assert config.nu == 1e-3 and config.plan.dt == 0.02
+    assert config.plan.sample_every == 1 and config.checkpoint_every == 0
     grid = config.build_grid()
     assert (grid.nr, grid.nz) == (24, 48)
-    plan = config.time_step_plan()
+    plan = config.plan
     assert plan.scheme == "viscous" and plan.dt == 0.02
 
 
@@ -245,6 +245,46 @@ def test_cli_diag_uses_the_runs_boundary(tmp_path, capsys):
     assert cli_main(["diag", "--checkpoint", ckpt]) == 0
     row = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
     assert row["energy"] == pytest.approx(float(rows[-1]["energy"]), rel=1e-10)
+
+
+_HEADER = {"magic": "AXF1", "nr": 24, "nz": 48, "r_max": 3.0, "z_min": -3.0, "z_max": 3.0,
+           "t": 0.0, "nu": 1e-3, "boundary": "zero", "fields": ["xi"]}
+_BAD_HEADERS = {
+    "no-nr": {k: v for k, v in _HEADER.items() if k != "nr"},
+    "nr-null": dict(_HEADER, nr=None),
+    "header-list": [_HEADER],
+}
+
+
+def _bad_input_argv(tmp_path, case):
+    """argv of one CLI call whose outside input is malformed."""
+    if case == "config-not-utf8":
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff" + json.dumps(base_doc()).encode("utf-8"))
+        return ["run", "--config", str(path), "--out", str(tmp_path / "o")]
+    if case.startswith("ball-radius"):
+        radius = "-1" if case.endswith("negative") else "10"
+        return ["sweep", "--config", write_config(tmp_path, sweep_doc()),
+                "--nus", "1e-2,5e-3,2.5e-3,1.25e-3", "--out", str(tmp_path / "s"),
+                "--ball-radius", radius]
+    route, header = case.split("-", 1)
+    ckpt = tmp_path / "bad.axf1"
+    ckpt.write_bytes((json.dumps(_BAD_HEADERS[header]) + "\n").encode("utf-8")
+                     + np.zeros((24, 48)).tobytes())
+    if route == "diag":
+        return ["diag", "--checkpoint", str(ckpt)]
+    doc = base_doc(initial_condition={"kind": "checkpoint", "path": str(ckpt)})
+    return ["run", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]
+
+
+@pytest.mark.parametrize("case", [
+    "config-not-utf8",
+    *(f"{route}-{header}" for route in ("diag", "restart") for header in _BAD_HEADERS),
+    "ball-radius-negative", "ball-radius-too-large",
+])
+def test_cli_bad_outside_input_exits_1(tmp_path, capsys, case):
+    assert cli_main(_bad_input_argv(tmp_path, case)) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key,value", [("stream_tol", 1e-10), ("diffusion_tol", 1e-12),

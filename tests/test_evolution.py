@@ -399,6 +399,25 @@ def test_checkpoint_error_cases(tmp_path):
         read_checkpoint(p3)
 
 
+def test_state_keeps_its_boundary():
+    # every route that re-solves the velocity uses the state's own boundary
+    # treatment, so a kernel state stays a kernel state
+    g = build_grid(32, 64, 3.0, -3.0, 3.0)
+    st = make_state(g, gaussian_ring_xi(g, 1.0, 0.0, 0.3, 1.0), 1e-2, boundary="kernel")
+    plan = TimeStepPlan(dt=0.01)
+    results = [
+        step_viscous(st, plan),
+        step_conservative_omega(st, plan),
+        run(st, 0.02, plan)[0],
+        refresh_velocity(replace(st, psi=None, u=None)),
+    ]
+    for out in results:
+        assert out.boundary == "kernel"
+        fresh = make_state(g, out.xi, out.nu, t=out.t, boundary="kernel")
+        assert np.array_equal(out.u.u_r, fresh.u.u_r)
+        assert np.array_equal(out.u.u_z, fresh.u.u_z)
+
+
 def test_refresh_velocity_reuses_psi_seed():
     g = build_grid(32, 64, 3.0, -3.0, 3.0)
     xi0 = gaussian_ring_xi(g, 1.0, 0.0, 0.3, 1.0)

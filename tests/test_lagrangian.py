@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,11 @@ from axisymlab import (
     composition_check,
     duality_check,
     jacobian_check,
+    read_checkpoint,
     renorm_residual,
     renorm_test_library,
+    replay_run_series,
+    run_from_config,
     solve_backward_transport,
     solve_forward_transport,
     trace_flow,
@@ -38,6 +43,7 @@ def test_velocity_series_time_interpolation():
     assert np.allclose(series.at(7.0).u_z, 3.0)  # clamped above
     frozen = VelocitySeries.frozen(a, 2.0)
     assert np.array_equal(frozen.at(1.3).u_z, a.u_z)
+    assert frozen.at(0.37) is a  # a frozen series hands out the snapshot itself
     assert series.max_speeds() == (0.0, 3.0)
 
 
@@ -428,3 +434,23 @@ def test_duality_time_grid_mismatch():
     b = ScalarSeries([0.0, 1.0], [f] * 2)
     with pytest.raises(ValueError):
         duality_check(a, b, None, T=1.0)
+
+
+@pytest.mark.parametrize("boundary", ["zero", "kernel"])
+def test_replay_reproduces_the_run(tmp_path, boundary):
+    # the replay starts from the run's own initial state and steps with its
+    # plan, so it lands on the run's final checkpoint bit for bit
+    doc = {
+        "grid": {"nr": 16, "nz": 32, "r_max": 3.0, "z_min": -3.0, "z_max": 3.0},
+        "nu": 1e-2, "tfinal": 0.03, "dt": 0.01, "scheme": "xi_semilagrangian",
+        "boundary": boundary, "p_list": [1.0, 2.0],
+        "initial_condition": {"kind": "gaussian_ring", "r0": 1.0, "z0": 0.0,
+                              "sigma": 0.3, "amplitude": 1.0},
+    }
+    run_from_config(doc, str(tmp_path))
+    xis, _ = replay_run_series(doc)
+    final = read_checkpoint(str(tmp_path / "checkpoint_final.axf1"))
+    assert np.array_equal(xis.fields[-1].values, final.xi.values)
+    with open(tmp_path / "diagnostics.csv", encoding="utf-8") as f:
+        times = [float(row["t"]) for row in csv.DictReader(f)]
+    assert xis.times.tolist() == times
