@@ -168,7 +168,7 @@ def _cmd_diag(args) -> int:
     from .evolution import read_checkpoint
 
     try:
-        state = read_checkpoint(args.checkpoint, solve=True)
+        state = read_checkpoint(args.checkpoint)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load checkpoint: {exc}") from exc
     ps = [1.0, 2.0, 3.0]

@@ -78,8 +78,18 @@ CONFIG_SCHEMA = {
     },
 }
 
-_SCHEME_MAP = {"xi_semilagrangian": "viscous", "omega_conservative": "conservative"}
-_PLAN_KEYS = ("dt", "dt_max", "cfl", "theta", "sample_every", "blowup_limit")  # TimeStepPlan fields
+# TimeStepPlan fields
+_PLAN_KEYS = ("scheme", "dt", "dt_max", "cfl", "theta", "sample_every", "blowup_limit")
+
+
+def _non_finite_paths(node, path=""):
+    """Key paths, dot-separated, of the NaN and infinite numbers in a JSON document."""
+    if isinstance(node, float) and not np.isfinite(node):
+        yield path
+    elif isinstance(node, (dict, list)):
+        children = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in children:
+            yield from _non_finite_paths(child, f"{path}.{key}" if path else str(key))
 
 
 def _schema_error_path(err: jsonschema.ValidationError) -> str:
@@ -91,10 +101,14 @@ def validate_config_dict(doc) -> dict:
     """Validate a raw config document against the strict schema.
 
     Returns the document unchanged on success; raises ConfigError naming the
-    offending key otherwise.
+    offending key otherwise.  NaN and Infinity, which JSON readers accept and
+    range checks let through, are rejected first, by key path.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
+    bad = next(_non_finite_paths(doc), None)
+    if bad is not None:
+        raise ConfigError(f"config key {bad!r}: must be a finite number")
     validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
     errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
     if errors:
@@ -110,9 +124,6 @@ def validate_config_dict(doc) -> dict:
     z_min, z_max = doc["grid"]["z_min"], doc["grid"]["z_max"]
     if not (z_min < z_max):
         raise ConfigError(f"config key 'grid.z_min': need z_min < z_max, got [{z_min}, {z_max}]")
-    for p in doc["p_list"]:
-        if not np.isfinite(p):
-            raise ConfigError(f"config key 'p_list': exponents must be finite, got {p}")
     return doc
 
 
@@ -135,7 +146,6 @@ class RunConfig:
     grid: dict
     nu: float
     tfinal: float
-    scheme: str
     initial_condition: dict
     p_list: list
     plan: TimeStepPlan
@@ -146,9 +156,7 @@ class RunConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
         doc = validate_config_dict(doc)
-        plan = TimeStepPlan(
-            scheme=_SCHEME_MAP[doc["scheme"]], **{k: doc[k] for k in _PLAN_KEYS if k in doc}
-        ).validated()
+        plan = TimeStepPlan(**{k: doc[k] for k in _PLAN_KEYS if k in doc}).validated()
         rest = {k: doc[k] for k in doc if k not in _PLAN_KEYS}
         return cls(doc=doc, plan=plan, **rest)
 
@@ -160,7 +168,7 @@ class RunConfig:
         """The solved starting state of the run and the initial condition's info."""
         grid = self.build_grid()
         xi0, ic_info = make_initial_condition(self.initial_condition, grid, monitor_ps=self.p_list)
-        return make_state(grid, xi0, self.nu, solve=True, boundary=self.boundary), ic_info
+        return make_state(grid, xi0, self.nu, boundary=self.boundary), ic_info
 
 
 def _canonical_json(doc) -> str:
@@ -207,7 +215,7 @@ def run_from_config(config, out_dir: str, extra_hook=None):
         write_csv(records, ps, os.path.join(out_dir, "diagnostics.csv"))
         manifest = {
             "status": status,
-            "scheme": config.scheme,
+            "scheme": config.plan.scheme,
             "grid": config.grid,
             "nu": config.nu,
             "tfinal": config.tfinal,

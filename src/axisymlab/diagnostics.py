@@ -130,9 +130,7 @@ class DiagnosticsRecord:
 
 
 def compute_record(state, ps, energy0: float | None = None) -> DiagnosticsRecord:
-    """Evaluate every monitored quantity on a state with cached velocity."""
-    if state.u is None:
-        raise ValueError("state has no cached velocity; refresh before diagnostics")
+    """Evaluate every monitored quantity on a state."""
     ps = list(ps)
     if len(ps) == 0:
         raise ValueError("at least one monitoring exponent is required")
@@ -357,8 +355,6 @@ def local_w1p_check(state, R: float, p_star: float, p: float, ref_norms=None):
     grid = state.grid
     mask = _ball_mask(grid, R)
     u = state.u
-    if u is None:
-        raise ValueError("state has no cached velocity")
     gmag = np.sqrt(grad_u_magnitude_sq(u))
     speed = np.hypot(u.u_r, u.u_z)
     w = 2.0 * np.pi * grid.r_col * grid.cell_area

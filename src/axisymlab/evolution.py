@@ -34,7 +34,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .biot_savart import (
-    StreamFunction,
     apply_stream_operator,
     solve_stream_function,
     stream_operator_radial,
@@ -54,7 +53,7 @@ CHECKPOINT_MAGIC = "AXF1"
 
 @dataclass
 class FluidState:
-    """Relative vorticity plus its cached stream function and velocity.
+    """Relative vorticity xi and its velocity u, always solved from xi.
 
     u_prev and dt_prev hold the velocity at the start of the previous step
     and that step's length; step_viscous extrapolates from them to the step
@@ -66,10 +65,9 @@ class FluidState:
     grid: HalfPlaneGrid
     xi: ScalarField
     nu: float
+    u: VelocityField
     t: float = 0.0
     step_index: int = 0
-    psi: StreamFunction | None = None
-    u: VelocityField | None = None
     u_prev: VelocityField | None = None
     dt_prev: float | None = None
     boundary: str = "zero"
@@ -77,17 +75,17 @@ class FluidState:
     def omega_field(self) -> ScalarField:
         return ScalarField(self.grid, self.grid.r_col * self.xi.values, role="vorticity")
 
-    def max_speed(self) -> float:
-        if self.u is None:
-            return 0.0
-        mr, mz = self.u.max_speeds()
-        return max(mr, mz)
+
+def _solved_velocity(grid: HalfPlaneGrid, xi: ScalarField, boundary: str) -> VelocityField:
+    """The velocity of xi: one stream solve with the given boundary treatment."""
+    omega = ScalarField(grid, grid.r_col * xi.values, role="vorticity")
+    psi, _ = solve_stream_function(omega, boundary=boundary)
+    return velocity_from_stream(psi)
 
 
 def refresh_velocity(state: FluidState) -> FluidState:
-    """Recompute stream function and velocity from xi with state.boundary."""
-    psi, _ = solve_stream_function(state.omega_field(), boundary=state.boundary)
-    return replace(state, psi=psi, u=velocity_from_stream(psi))
+    """Re-solve the velocity from xi with state.boundary."""
+    return replace(state, u=_solved_velocity(state.grid, state.xi, state.boundary))
 
 
 def make_state(
@@ -95,20 +93,17 @@ def make_state(
     xi,
     nu: float,
     t: float = 0.0,
-    solve: bool = True,
     boundary: str = "zero",
 ) -> FluidState:
-    """Assemble a FluidState from raw xi values, optionally solving for velocity."""
+    """Assemble a FluidState from raw xi values and solve for its velocity."""
     if nu < 0.0:
         raise ValueError(f"viscosity must be nonnegative, got {nu}")
     if not isinstance(xi, ScalarField):
         xi = ScalarField(grid, np.asarray(xi, dtype=np.float64), role="relative_vorticity")
     elif xi.role != "relative_vorticity":
         raise ValueError(f"state field must have role 'relative_vorticity', got {xi.role!r}")
-    state = FluidState(grid=grid, xi=xi, nu=float(nu), t=float(t), boundary=boundary)
-    if solve:
-        state = refresh_velocity(state)
-    return state
+    u = _solved_velocity(grid, xi, boundary)
+    return FluidState(grid=grid, xi=xi, nu=float(nu), u=u, t=float(t), boundary=boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +261,6 @@ def cfl_dt(state: FluidState, cfl: float = 0.5, dt_max: float = np.inf) -> float
         raise ValueError(f"cfl must lie in (0, 1], got {cfl}")
     if not (dt_max > 0.0):
         raise ValueError(f"dt_max must be positive, got {dt_max}")
-    if state.u is None:
-        raise ValueError("state has no cached velocity; call refresh_velocity first")
     return _advective_dt(state.grid, state.u.max_speeds(), cfl, dt_max)
 
 
@@ -306,27 +299,23 @@ def _midpoint_velocity(state: FluidState, dt: float) -> VelocityField:
     )
 
 
-def _advanced(
-    state: FluidState, xi: ScalarField, plan: "TimeStepPlan", refresh: bool
-) -> FluidState:
-    """The state after one step of length plan.dt that ends with xi.
+def _advanced(state: FluidState, xi: ScalarField, plan: "TimeStepPlan") -> FluidState:
+    """The solved state after one step of length plan.dt that ends with xi.
 
     Records the start-of-step velocity as the history of the next step.
     """
-    new = replace(
+    return replace(
         state,
         xi=xi,
         t=state.t + plan.dt,
         step_index=state.step_index + 1,
+        u=_solved_velocity(state.grid, xi, state.boundary),
         u_prev=state.u,
         dt_prev=plan.dt,
     )
-    if refresh:
-        return refresh_velocity(new)
-    return replace(new, psi=None, u=None)
 
 
-def step_viscous(state: FluidState, plan: "TimeStepPlan", refresh: bool = True) -> FluidState:
+def step_viscous(state: FluidState, plan: "TimeStepPlan") -> FluidState:
     """One Strang-split step: diffuse dt/2, advect dt, diffuse dt/2, re-solve.
 
     The advection uses the velocity extrapolated to the step midpoint from
@@ -336,15 +325,13 @@ def step_viscous(state: FluidState, plan: "TimeStepPlan", refresh: bool = True) 
     the outer boundary treatment from the state.
     """
     dt = _require_dt(plan)
-    if state.u is None:
-        state = refresh_velocity(state)
     diffuse = None
     if state.nu > 0.0:
         def diffuse(f, half_dt):
             return diffuse_relative_vorticity(f, state.nu, half_dt, plan.theta)
 
     xi = _split_step(state.xi, _midpoint_velocity(state, dt), dt, diffuse)
-    return _advanced(state, xi, plan, refresh)
+    return _advanced(state, xi, plan)
 
 
 def _van_leer_slopes(values: np.ndarray, axis: int, axis_symmetry: str) -> np.ndarray:
@@ -394,9 +381,7 @@ def _muscl_rhs(omega: np.ndarray, u: VelocityField) -> np.ndarray:
     return out
 
 
-def step_conservative_omega(
-    state: FluidState, plan: "TimeStepPlan", refresh: bool = True
-) -> FluidState:
+def step_conservative_omega(state: FluidState, plan: "TimeStepPlan") -> FluidState:
     """One step of the conservative omega route (SSP-RK2 MUSCL + diffusion).
 
     Advection is in the divergence form of the omega equation, whose flux
@@ -405,8 +390,6 @@ def step_conservative_omega(
     throughout the step.
     """
     dt = _require_dt(plan)
-    if state.u is None:
-        state = refresh_velocity(state)
     grid = state.grid
     omega = state.omega_field()
     if state.nu > 0.0:
@@ -418,7 +401,7 @@ def step_conservative_omega(
     if state.nu > 0.0:
         omega = diffuse_vorticity(omega, state.nu, 0.5 * dt, plan.theta)
     xi = state.xi.with_values(omega.values / grid.r_col)
-    return _advanced(state, xi, plan, refresh)
+    return _advanced(state, xi, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +421,7 @@ class TimeStepPlan:
     dt_max: float | None = None
     cfl: float = 0.5
     theta: float = 0.5
-    scheme: str = "viscous"
+    scheme: str = "xi_semilagrangian"
     sample_every: int = 1
     blowup_limit: float = 1e6
     max_steps: int = 10_000_000
@@ -448,7 +431,7 @@ class TimeStepPlan:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.dt_max is not None and self.dt_max <= 0.0:
             raise ValueError(f"dt_max must be positive, got {self.dt_max}")
-        if self.scheme not in ("viscous", "conservative"):
+        if self.scheme not in ("xi_semilagrangian", "omega_conservative"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.sample_every < 1:
             raise ValueError("sample_every must be at least 1")
@@ -477,9 +460,7 @@ def run(
     plan = (plan or TimeStepPlan()).validated()
     if t_final < state.t:
         raise ValueError(f"t_final {t_final} is before state time {state.t}")
-    if state.u is None:
-        state = refresh_velocity(state)
-    stepper = step_viscous if plan.scheme == "viscous" else step_conservative_omega
+    stepper = step_viscous if plan.scheme == "xi_semilagrangian" else step_conservative_omega
 
     records = []
     if sample_hook is not None:
@@ -549,12 +530,12 @@ def write_checkpoint(state: FluidState, path: str) -> None:
         f.write(np.ascontiguousarray(state.xi.values, dtype="<f8").tobytes())
 
 
-def read_checkpoint(path: str, solve: bool = False) -> FluidState:
-    """Load a checkpoint written by write_checkpoint.
+def _read_checkpoint_field(path: str):
+    """The xi field and header of a checkpoint written by write_checkpoint.
 
-    The state's velocity, if solved, uses the boundary treatment the header
-    records; files written before that field existed get "zero".  A missing
-    or malformed header field raises ValueError naming it.
+    Returns (xi, t, nu, boundary); files written before the boundary field
+    existed get "zero".  A header field that is missing, malformed, not
+    finite, or (for nu) negative raises ValueError naming it.
     """
     with open(path, "rb") as f:
         header_line = f.readline()
@@ -570,13 +551,16 @@ def read_checkpoint(path: str, solve: bool = False) -> FluidState:
     if header.get("fields") != ["xi"]:
         raise ValueError(f"unsupported checkpoint fields {header.get('fields')!r}")
 
-    def number(key, kind=float):
+    def number(key, kind=float, low=-np.inf):
         try:
-            return kind(header[key])
-        except (KeyError, TypeError, ValueError) as exc:
+            value = kind(header[key])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(
                 f"checkpoint header in {path}: field {key!r} is missing or not a number"
             ) from exc
+        if not (np.isfinite(value) and value >= low):
+            raise ValueError(f"checkpoint header in {path}: field {key!r} is out of range: {value}")
+        return value
 
     grid = build_grid(
         number("nr", int), number("nz", int), number("r_max"), number("z_min"), number("z_max")
@@ -587,7 +571,11 @@ def read_checkpoint(path: str, solve: bool = False) -> FluidState:
             f"checkpoint payload is {len(payload)} bytes, expected {expected}"
         )
     values = np.frombuffer(payload, dtype="<f8").reshape(grid.nr, grid.nz).copy()
-    return make_state(
-        grid, values, number("nu"), t=number("t"), solve=solve,
-        boundary=header.get("boundary", "zero"),
-    )
+    xi = ScalarField(grid, values, role="relative_vorticity")
+    return xi, number("t"), number("nu", low=0.0), header.get("boundary", "zero")
+
+
+def read_checkpoint(path: str) -> FluidState:
+    """Load a checkpoint written by write_checkpoint as a solved state."""
+    xi, t, nu, boundary = _read_checkpoint_field(path)
+    return make_state(xi.grid, xi, nu, t=t, boundary=boundary)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .evolution import _read_checkpoint_field
 from .exceptions import ConfigError
 from .grid import HalfPlaneGrid, ScalarField, VelocityField
 
@@ -107,7 +108,7 @@ def make_initial_condition(spec: dict, grid: HalfPlaneGrid, monitor_ps=()):
             f"{sorted(_REQUIRED_PARAMS)}"
         )
     required = _REQUIRED_PARAMS[kind]
-    given = set(spec) - {"kind", "nonnegative"}
+    given = set(spec) - {"kind"}
     missing = required - given
     extra = given - required
     if missing:
@@ -132,25 +133,17 @@ def make_initial_condition(spec: dict, grid: HalfPlaneGrid, monitor_ps=()):
             monitor_ps=monitor_ps,
         )
     else:  # checkpoint restart
-        from .evolution import read_checkpoint
-
         try:
-            state = read_checkpoint(spec["path"], solve=False)
+            field, t, nu, _ = _read_checkpoint_field(spec["path"])
         except (OSError, ValueError) as exc:
             raise ConfigError(f"checkpoint restart failed: {exc}") from exc
-        if not state.grid.same_geometry(grid):
+        if not field.grid.same_geometry(grid):
             raise ConfigError(
                 "checkpoint grid "
-                f"({state.grid.nr}x{state.grid.nz}) does not match configured grid "
+                f"({field.grid.nr}x{field.grid.nz}) does not match configured grid "
                 f"({grid.nr}x{grid.nz})"
             )
-        field, info = state.xi, {"restart_t": state.t, "restart_nu": state.nu}
-
-    if spec.get("nonnegative", False) and bool(np.any(field.values < 0.0)):
-        raise ConfigError(
-            "initial condition declared nonnegative but sampled values go "
-            f"down to {float(np.min(field.values)):.3e}"
-        )
+        info = {"restart_t": t, "restart_nu": nu}
     return field, info
 
 

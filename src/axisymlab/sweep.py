@@ -234,7 +234,7 @@ def signed_moment_experiment(
     vals = np.exp(-8.0 * ((r2d - 1.0) ** 2 + (z2d - 0.6) ** 2))
     vals -= np.exp(-8.0 * ((r2d - 1.0) ** 2 + (z2d + 0.6) ** 2))
     state = make_state(grid, vals, nu)
-    plan = TimeStepPlan(dt=dt, scheme="conservative", sample_every=sample_every)
+    plan = TimeStepPlan(dt=dt, scheme="omega_conservative", sample_every=sample_every)
 
     def moment(s):
         return integrate_weighted(ScalarField(grid, s.xi.values, "test"), 3, 1.0)

@@ -10,8 +10,10 @@ from axisymlab import (
     ConfigError,
     NumericalBlowupError,
     RunConfig,
+    build_grid,
     cli_main,
     load_config_file,
+    make_initial_condition,
     run_from_config,
     signed_moment_experiment,
     sweep,
@@ -50,7 +52,7 @@ def test_validate_config_roundtrip():
     grid = config.build_grid()
     assert (grid.nr, grid.nz) == (24, 48)
     plan = config.plan
-    assert plan.scheme == "viscous" and plan.dt == 0.02
+    assert plan.scheme == "xi_semilagrangian" and plan.dt == 0.02
 
 
 @pytest.mark.parametrize(
@@ -70,6 +72,13 @@ def test_validate_config_roundtrip():
         (lambda d: d.update(tfinal=-1.0), "tfinal"),
         (lambda d: d["grid"].update(nr=2), "nr"),
         (lambda d: d.update(initial_condition={"sigma": 1.0}), "kind"),
+        # JSON readers accept NaN and Infinity, which every range check lets through
+        *(pytest.param(lambda d, k=k: d.update({k: float("nan")}), f"'{k}'", id=f"nan-{k}")
+          for k in ("dt", "nu", "tfinal", "blowup_limit", "cfl", "theta")),
+        pytest.param(lambda d: d["grid"].update(r_max=float("inf")), "'grid.r_max'",
+                     id="inf-r_max"),
+        pytest.param(lambda d: d["initial_condition"].update(amplitude=float("nan")),
+                     "'initial_condition.amplitude'", id="nan-amplitude"),
     ],
 )
 def test_validate_config_rejections(mutate, needle):
@@ -78,6 +87,21 @@ def test_validate_config_rejections(mutate, needle):
     with pytest.raises(ConfigError) as err:
         validate_config_dict(doc)
     assert needle in str(err.value)
+
+
+_HILL = {"kind": "hill_vortex", "radius": 1.0, "amplitude": 1.0}
+
+
+@pytest.mark.parametrize("spec,needle", [
+    pytest.param(["hill_vortex"], "object", id="not-an-object"),
+    pytest.param({"kind": "vortex_sheet"}, "vortex_sheet", id="unknown-kind"),
+    pytest.param({"kind": "hill_vortex", "radius": 1.0}, "amplitude", id="missing-key"),
+    pytest.param(dict(_HILL, center=0.0), "center", id="unknown-key"),
+    pytest.param(dict(_HILL, nonnegative=True), "nonnegative", id="nonnegative"),
+])
+def test_initial_condition_spec_rejections(spec, needle):
+    with pytest.raises(ConfigError, match=needle):
+        make_initial_condition(spec, build_grid(8, 8, 1.0, -1.0, 1.0))
 
 
 def test_validate_config_not_a_dict():
@@ -146,10 +170,10 @@ def test_run_programming_error_leaves_aborted_manifest(tmp_path, monkeypatch):
 
     real_step = evolution.step_viscous
 
-    def broken(state, plan, refresh=True):
+    def broken(state, plan):
         if state.step_index >= 1:
             raise ValueError("argument bug")
-        return real_step(state, plan, refresh)
+        return real_step(state, plan)
 
     monkeypatch.setattr(evolution, "step_viscous", broken)
     cfg = write_config(tmp_path, base_doc(tfinal=0.06))
@@ -253,6 +277,13 @@ _BAD_HEADERS = {
     "no-nr": {k: v for k, v in _HEADER.items() if k != "nr"},
     "nr-null": dict(_HEADER, nr=None),
     "header-list": [_HEADER],
+    "nu-nan": dict(_HEADER, nu=float("nan")),
+    "nr-inf": dict(_HEADER, nr=float("inf")),
+}
+_NAN_OVERRIDES = {
+    "dt": {"dt": float("nan")},
+    "amplitude": {"initial_condition": dict(base_doc()["initial_condition"],
+                                            amplitude=float("nan"))},
 }
 
 
@@ -262,6 +293,9 @@ def _bad_input_argv(tmp_path, case):
         path = tmp_path / "config.json"
         path.write_bytes(b"\xff" + json.dumps(base_doc()).encode("utf-8"))
         return ["run", "--config", str(path), "--out", str(tmp_path / "o")]
+    if case.startswith("config-nan-"):
+        doc = base_doc(**_NAN_OVERRIDES[case[len("config-nan-"):]])
+        return ["run", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]
     if case.startswith("ball-radius"):
         radius = "-1" if case.endswith("negative") else "10"
         return ["sweep", "--config", write_config(tmp_path, sweep_doc()),
@@ -278,7 +312,7 @@ def _bad_input_argv(tmp_path, case):
 
 
 @pytest.mark.parametrize("case", [
-    "config-not-utf8",
+    "config-not-utf8", "config-nan-dt", "config-nan-amplitude",
     *(f"{route}-{header}" for route in ("diag", "restart") for header in _BAD_HEADERS),
     "ball-radius-negative", "ball-radius-too-large",
 ])

@@ -133,9 +133,6 @@ def test_compute_record_and_collector():
     assert collector.records[1].energy_deficit == 0.0  # same state, same energy
     with pytest.raises(ValueError):
         compute_record(state, [])
-    bare = make_state(g, xi0, nu=0.01, solve=False)
-    with pytest.raises(ValueError):
-        compute_record(bare, [1.0])
 
 
 def synthetic_records(ts, nu, lp, linf=None, diss=None, energy=None, gusq=None):

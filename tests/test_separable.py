@@ -24,7 +24,8 @@ from axisymlab.lagrangian import _diffuse_dual
 from axisymlab.separable import solve_separable
 
 NR, NZ = 6, 10
-NU, DT, THETA = 0.3, 0.2, 0.5
+NU, DT = 0.3, 0.2
+THETAS = (0.5, 1.0)  # Crank-Nicolson and backward Euler
 
 
 def _grid():
@@ -78,37 +79,41 @@ def test_stream_solve_matches_dense():
     assert rep.residual <= 1e-13
 
 
-def _theta_step_oracle(lap, values):
+def _theta_step_oracle(lap, values, theta):
     """x with (I - theta nu dt L) x = (I + (1 - theta) nu dt L) values, densely."""
     L = _dense(lap)
     eye = np.eye(NR * NZ)
-    rhs = (eye + (1.0 - THETA) * NU * DT * L) @ values.ravel()
-    return np.linalg.solve(eye - THETA * NU * DT * L, rhs).reshape(NR, NZ)
+    rhs = (eye + (1.0 - theta) * NU * DT * L) @ values.ravel()
+    return np.linalg.solve(eye - theta * NU * DT * L, rhs).reshape(NR, NZ)
 
 
-def test_xi_diffusion_matches_dense():
+@pytest.mark.parametrize("theta", THETAS)
+def test_xi_diffusion_matches_dense(theta):
     g = _grid()
     xi = _rhs(3)
-    want = _theta_step_oracle(lambda v: apply_xi_diffusion(v, g), xi)
-    got = diffuse_relative_vorticity(ScalarField(g, xi, role="relative_vorticity"), NU, DT, THETA)
+    want = _theta_step_oracle(lambda v: apply_xi_diffusion(v, g), xi, theta)
+    got = diffuse_relative_vorticity(ScalarField(g, xi, role="relative_vorticity"), NU, DT, theta)
     assert _rel(got.values, want) <= 1e-12
 
 
-def test_omega_diffusion_matches_dense():
+@pytest.mark.parametrize("theta", THETAS)
+def test_omega_diffusion_matches_dense(theta):
     g = _grid()
     r = g.r_col
     omega = _rhs(4)
     want = _theta_step_oracle(
-        lambda v: -apply_stream_operator(r * v, g, outer_r="neumann", z_bc="neumann") / r, omega)
-    got = diffuse_vorticity(ScalarField(g, omega, role="vorticity"), NU, DT, THETA)
+        lambda v: -apply_stream_operator(r * v, g, outer_r="neumann", z_bc="neumann") / r, omega,
+        theta)
+    got = diffuse_vorticity(ScalarField(g, omega, role="vorticity"), NU, DT, theta)
     assert _rel(got.values, want) <= 1e-12
 
 
-def test_dual_diffusion_matches_dense():
+@pytest.mark.parametrize("theta", THETAS)
+def test_dual_diffusion_matches_dense(theta):
     g = _grid()
     f = _rhs(5)
-    want = _theta_step_oracle(lambda v: -apply_stream_operator(v, g), f)
-    assert _rel(_diffuse_dual(f, g, NU, DT, THETA), want) <= 1e-12
+    want = _theta_step_oracle(lambda v: -apply_stream_operator(v, g), f, theta)
+    assert _rel(_diffuse_dual(f, g, NU, DT, theta), want) <= 1e-12
 
 
 def test_solve_separable_rejects_unknown_closure():
