@@ -29,7 +29,9 @@ float64 field bytes (format tag AXF1).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -42,7 +44,7 @@ from .biot_savart import (
 from .exceptions import NonFiniteFieldError, NumericalBlowupError
 from .grid import HalfPlaneGrid, ScalarField, VelocityField, build_grid
 from .interpolation import interp_bicubic, sample_velocity
-from .separable import flux_form_radial, solve_separable
+from .separable import flux_form_radial, theta_step
 
 CHECKPOINT_MAGIC = "AXF1"
 
@@ -161,18 +163,9 @@ def diffuse_relative_vorticity(
     r^3 volume weight, is solved directly by the separable solver with
     zero-flux closures (DCT-II in z).
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if not (0.5 <= theta <= 1.0):
-        raise ValueError(f"theta must lie in [0.5, 1], got {theta}")
-    if nu == 0.0:
-        return xi.copy()
     grid = xi.grid
-    lap = apply_xi_diffusion(xi.values, grid)
-    rhs = xi.values + ((1.0 - theta) * nu * dt) * lap
-    sol = solve_separable(
-        rhs, _xi_diffusion_radial(grid), grid.hz, "neumann", shift=1.0, scale=theta * nu * dt
-    )
+    sol = theta_step(xi.values, lambda v: -apply_xi_diffusion(v, grid),
+                     _xi_diffusion_radial(grid), grid.hz, "neumann", nu, dt, theta)
     return xi.with_values(sol)
 
 
@@ -184,21 +177,15 @@ def diffuse_vorticity(
     The viscous term for omega is d/dr((1/r) d(r omega)/dr) + d2 omega/dz2,
     applied here as -(1/r) B(r omega) with zero-flux truncation closures so
     the operator is self-adjoint in the r weight.  The only cell-sum leak of
-    omega is the physical one through the axis.  The implicit system is
-    solved directly for r omega, where it reads (1 + c B) (r omega) = r rhs.
+    omega is the physical one through the axis.  The theta step is taken for
+    r omega, whose diffusion operator is -B itself.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if not (0.5 <= theta <= 1.0):
-        raise ValueError(f"theta must lie in [0.5, 1], got {theta}")
-    if nu == 0.0:
-        return omega.copy()
     grid = omega.grid
     r = grid.r_col
-    diff = -apply_stream_operator(r * omega.values, grid, outer_r="neumann", z_bc="neumann") / r
-    rhs = omega.values + ((1.0 - theta) * nu * dt) * diff
-    radial = stream_operator_radial(grid, outer_r="neumann")
-    sol = solve_separable(r * rhs, radial, grid.hz, "neumann", shift=1.0, scale=theta * nu * dt)
+    sol = theta_step(r * omega.values,
+                     lambda v: apply_stream_operator(v, grid, outer_r="neumann", z_bc="neumann"),
+                     stream_operator_radial(grid, outer_r="neumann"), grid.hz, "neumann",
+                     nu, dt, theta)
     return omega.with_values(sol / r)
 
 
@@ -236,19 +223,16 @@ def advect_semi_lagrangian(
 
 
 def _split_step(
-    field: ScalarField, u: VelocityField, dt: float, diffuse=None, source=None, t: float = 0.0
+    field: ScalarField, u: VelocityField, dt: float, diffuse, source=None, t: float = 0.0
 ) -> ScalarField:
     """One Strang-split step: diffuse dt/2, advect dt with source, diffuse dt/2.
 
-    diffuse(field, half_dt) -> field is the diffusion half step, or None for
-    pure advection; source and t are passed to advect_semi_lagrangian.
+    diffuse(field, dt=half_dt) -> field is the diffusion half step (a copy
+    at nu = 0); source and t are passed to advect_semi_lagrangian.
     """
-    if diffuse is not None:
-        field = diffuse(field, 0.5 * dt)
+    field = diffuse(field, dt=0.5 * dt)
     field = advect_semi_lagrangian(field, u, dt, source, t)
-    if diffuse is not None:
-        field = diffuse(field, 0.5 * dt)
-    return field
+    return diffuse(field, dt=0.5 * dt)
 
 
 def cfl_dt(state: FluidState, cfl: float = 0.5, dt_max: float = np.inf) -> float:
@@ -325,11 +309,7 @@ def step_viscous(state: FluidState, plan: "TimeStepPlan") -> FluidState:
     the outer boundary treatment from the state.
     """
     dt = _require_dt(plan)
-    diffuse = None
-    if state.nu > 0.0:
-        def diffuse(f, half_dt):
-            return diffuse_relative_vorticity(f, state.nu, half_dt, plan.theta)
-
+    diffuse = partial(diffuse_relative_vorticity, nu=state.nu, theta=plan.theta)
     xi = _split_step(state.xi, _midpoint_velocity(state, dt), dt, diffuse)
     return _advanced(state, xi, plan)
 
@@ -534,8 +514,10 @@ def _read_checkpoint_field(path: str):
     """The xi field and header of a checkpoint written by write_checkpoint.
 
     Returns (xi, t, nu, boundary); files written before the boundary field
-    existed get "zero".  A header field that is missing, malformed, not
-    finite, or (for nu) negative raises ValueError naming it.
+    existed get "zero".  nr and nz must be JSON integers and the other
+    numeric fields JSON numbers (not strings or booleans); a header field
+    that is missing, malformed, not finite, or (for t and nu) negative raises
+    ValueError naming it.
     """
     with open(path, "rb") as f:
         header_line = f.readline()
@@ -552,15 +534,13 @@ def _read_checkpoint_field(path: str):
         raise ValueError(f"unsupported checkpoint fields {header.get('fields')!r}")
 
     def number(key, kind=float, low=-np.inf):
-        try:
-            value = kind(header[key])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(
-                f"checkpoint header in {path}: field {key!r} is missing or not a number"
-            ) from exc
-        if not (np.isfinite(value) and value >= low):
+        value = header.get(key)
+        if isinstance(value, bool) or not isinstance(value, (int, kind)):
+            what = "an integer" if kind is int else "a number"
+            raise ValueError(f"checkpoint header in {path}: field {key!r} is missing or not {what}")
+        if not (low <= value and abs(value) <= sys.float_info.max):
             raise ValueError(f"checkpoint header in {path}: field {key!r} is out of range: {value}")
-        return value
+        return kind(value)
 
     grid = build_grid(
         number("nr", int), number("nz", int), number("r_max"), number("z_min"), number("z_max")
@@ -572,7 +552,7 @@ def _read_checkpoint_field(path: str):
         )
     values = np.frombuffer(payload, dtype="<f8").reshape(grid.nr, grid.nz).copy()
     xi = ScalarField(grid, values, role="relative_vorticity")
-    return xi, number("t"), number("nu", low=0.0), header.get("boundary", "zero")
+    return xi, number("t", low=0.0), number("nu", low=0.0), header.get("boundary", "zero")
 
 
 def read_checkpoint(path: str) -> FluidState:

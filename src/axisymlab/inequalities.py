@@ -179,7 +179,6 @@ def ap_scan(
     sample_count: int = 100_000,
     rng_seed: int = 0,
     n: int = 48,
-    weight_exponent=None,
 ) -> ApScanReport:
     """Randomized supremum search for the A_p product of m(r) = r^{-p}.
 
@@ -205,9 +204,7 @@ def ap_scan(
     chunk = 256
     for lo in range(0, sample_count, chunk):
         hi = min(lo + chunk, sample_count)
-        prods = _batched_ap_products(
-            p, d[lo:hi], R[lo:hi], n, weight_exponent=weight_exponent
-        )
+        prods = _batched_ap_products(p, d[lo:hi], R[lo:hi], n)
         far = d[lo:hi] >= 2.0 * R[lo:hi]
         if np.any(far):
             far_sup = max(far_sup, float(np.max(prods[far])))

@@ -30,6 +30,7 @@ equal cT * int theta_0 over the box, positive).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .biot_savart import apply_stream_operator, stream_operator_radial
 from .evolution import _advective_dt, _split_step, diffuse_relative_vorticity, run
 from .grid import HalfPlaneGrid, ScalarField, VelocityField
 from .interpolation import interp_bicubic, sample_velocity
-from .separable import solve_separable
+from .separable import theta_step
 from .test_functions import SpaceTimeBump
 
 
@@ -111,10 +112,6 @@ class VelocitySeries(_Series):
 class ScalarSeries(_Series):
     """Scalar snapshots on a shared grid and role, linearly interpolated in time."""
 
-    @property
-    def role(self) -> str:
-        return self.fields[0].role
-
     def values_at(self, t: float) -> np.ndarray:
         k, k1, w = _locate(self.times, t)
         if w == 0.0:
@@ -179,7 +176,6 @@ def trace_flow(
     series: VelocitySeries,
     seeds,
     T: float,
-    t0: float = 0.0,
     cfl: float = 0.5,
     n_steps: int | None = None,
 ) -> FlowMap:
@@ -210,7 +206,7 @@ def trace_flow(
     n = seeds.shape[0]
     positions = np.empty((n_steps + 1, n, 2))
     positions[0] = seeds
-    times = t0 + dt * np.arange(n_steps + 1)
+    times = dt * np.arange(n_steps + 1)
     active = np.ones(n, dtype=bool)
     flagged = np.zeros(n, dtype=bool)
 
@@ -410,7 +406,7 @@ def _as_source(chi):
     )
 
 
-def _diffuse_dual(values, grid, nu, dt, theta=0.5):
+def _diffuse_dual(f: ScalarField, nu: float, dt: float, theta: float = 0.5) -> ScalarField:
     """Theta-scheme step of d_t f = nu (f_rr - (1/r) f_r + f_zz).
 
     The dual diffusion operator is the negative of the stream operator with
@@ -418,10 +414,27 @@ def _diffuse_dual(values, grid, nu, dt, theta=0.5):
     the 1/r-weighted inner product.  The implicit system (1 + c B) f = rhs is
     solved directly by the separable solver (DST-II in z).
     """
-    rhs = values - ((1.0 - theta) * nu * dt) * apply_stream_operator(values, grid)
-    return solve_separable(
-        rhs, stream_operator_radial(grid), grid.hz, "dirichlet", shift=1.0, scale=theta * nu * dt
-    )
+    grid = f.grid
+    sol = theta_step(f.values, lambda v: apply_stream_operator(v, grid),
+                     stream_operator_radial(grid), grid.hz, "dirichlet", nu, dt, theta)
+    return f.with_values(sol)
+
+
+def _march(velocity, datum: ScalarField, grid, T: float, n_steps: int, diffuse, source):
+    """Times and fields of n_steps evolution._split_step steps from datum at 0 to T.
+
+    The step from t to t + dt advects with velocity(t + dt / 2).
+    """
+    if n_steps < 1 or T <= 0.0:
+        raise ValueError("need T > 0 and at least one step")
+    if not datum.grid.same_geometry(grid):
+        raise ValueError("transported data and velocity series grids differ")
+    dt = T / n_steps
+    times = dt * np.arange(n_steps + 1)
+    fields = [datum.copy()]
+    for t in times[:-1]:
+        fields.append(_split_step(fields[-1], velocity(t + 0.5 * dt), dt, diffuse, source, t))
+    return times, fields
 
 
 def solve_forward_transport(
@@ -438,23 +451,8 @@ def solve_forward_transport(
     Crank-Nicolson diffusion is Strang-split around the advection exactly as
     in the main solver.
     """
-    if n_steps < 1 or T <= 0.0:
-        raise ValueError("need T > 0 and at least one step")
-    source = _as_source(source)
-    grid = velocity_series.grid
-    if not theta0.grid.same_geometry(grid):
-        raise ValueError("initial data and velocity series grids differ")
-    dt = T / n_steps
-    times = dt * np.arange(n_steps + 1)
-    diffuse = None
-    if nu > 0.0:
-        def diffuse(f, half_dt):
-            return diffuse_relative_vorticity(f, nu, half_dt)
-
-    fields = [theta0.copy()]
-    for t in times[:-1]:
-        u = velocity_series.at(t + 0.5 * dt)
-        fields.append(_split_step(fields[-1], u, dt, diffuse, source, t))
+    times, fields = _march(velocity_series.at, theta0, velocity_series.grid, T, n_steps,
+                           partial(diffuse_relative_vorticity, nu=nu), _as_source(source))
     return ScalarSeries(times, fields)
 
 
@@ -475,31 +473,22 @@ def solve_backward_transport(
     is integrated with the same splitting as the primary solver.  The returned
     series is indexed by physical time t, ascending.
     """
-    if n_steps < 1 or T <= 0.0:
-        raise ValueError("need T > 0 and at least one step")
     chi = _as_source(chi)
     grid = velocity_series.grid
     if f_final is None:
         f_final = ScalarField(grid, np.zeros((grid.nr, grid.nz)), role="dual")
-    elif not f_final.grid.same_geometry(grid):
-        raise ValueError("final datum grid differs from velocity grid")
-    dt = T / n_steps
-    diffuse = None
-    if nu > 0.0:
-        def diffuse(f, half_dt):
-            return f.with_values(_diffuse_dual(f.values, grid, nu, half_dt))
+
+    def reversed_velocity(tau):
+        u = velocity_series.at(T - tau)
+        return VelocityField(grid, -u.u_r, -u.u_z)
 
     source = None
     if chi is not None:
         def source(tau, r, z):
             return chi(T - tau, r, z)
 
-    taus = dt * np.arange(n_steps + 1)
-    fields_desc = [f_final.copy()]
-    for tau in taus[:-1]:
-        u = velocity_series.at(T - (tau + 0.5 * dt))
-        reversed_u = VelocityField(grid, -u.u_r, -u.u_z)
-        fields_desc.append(_split_step(fields_desc[-1], reversed_u, dt, diffuse, source, tau))
+    taus, fields_desc = _march(reversed_velocity, f_final, grid, T, n_steps,
+                               partial(_diffuse_dual, nu=nu), source)
     return ScalarSeries(taus, fields_desc[::-1])
 
 

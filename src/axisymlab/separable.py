@@ -89,3 +89,20 @@ def solve_separable(
     for i in range(x.shape[0] - 2, -1, -1):
         x[i] -= c[i] * x[i + 1]
     return inverse(x, type=2, axis=1, norm="ortho")
+
+
+def theta_step(values, apply, radial, hz: float, z_bc: str, nu: float, dt: float, theta=0.5):
+    """One theta-scheme step of d_t x = -nu A x (nu >= 0), the step of every lab diffusion.
+
+    A = R + T as in solve_separable: apply(x) applies it in flux form and
+    radial holds the coefficients of R.  theta = 0.5 is Crank-Nicolson
+    (second order in dt), theta = 1 backward Euler; nu = 0 returns a copy.
+    """
+    if dt <= 0.0 or nu < 0.0:
+        raise ValueError(f"need dt > 0 and nu >= 0, got dt = {dt}, nu = {nu}")
+    if not (0.5 <= theta <= 1.0):
+        raise ValueError(f"theta must lie in [0.5, 1], got {theta}")
+    if nu == 0.0:
+        return values.copy()
+    rhs = values - ((1.0 - theta) * nu * dt) * apply(values)
+    return solve_separable(rhs, radial, hz, z_bc, shift=1.0, scale=theta * nu * dt)

@@ -1,0 +1,51 @@
+"""The benchmark's tracer still sees the calls its traffic checks count.
+
+perfbench/tracer.py wraps functions by replacing their module-global
+bindings, so a layer whose calls bypass those bindings reads zero traffic and
+the benchmark marks the run incorrect.  This loads the tracer by path and
+runs a tiny slice of each PDE workload and one inequality suite under it.
+"""
+
+import importlib.util
+import os
+
+import numpy as np
+
+from axisymlab import evolution, inequalities, lagrangian
+from axisymlab.evolution import TimeStepPlan, make_state
+from axisymlab.grid import ScalarField, build_grid
+from axisymlab.initial_conditions import gaussian_ring_xi
+
+_TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "perfbench", "tracer.py")
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", _TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_counts_every_traced_layer():
+    tracing = _load_tracer()
+    grid = build_grid(16, 32, 3.0, -3.0, 3.0)
+    xi = gaussian_ring_xi(grid, 1.0, 0.0, 0.3, 5.0)
+    r2d, z2d = grid.meshes()
+    theta0 = ScalarField(grid, np.exp(-((r2d - 1.0) ** 2 + z2d**2) / 0.2), role="passive_scalar")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        state = make_state(grid, xi, 1e-2)
+        evolution.run(state, 0.02, TimeStepPlan(dt=0.01))
+        series = lagrangian.VelocitySeries.frozen(state.u, 0.02)
+        lagrangian.solve_forward_transport(series, theta0, 0.02, 2, nu=1e-2)
+        inequalities.run_suite("nash", sample_count=3, quadrature_n=16)
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == {"solvers.weighted_pcg"}
+    metrics = tracing.layer_metrics(tracer.spans, 1)
+    for name in ("interpolation.points", "biot_savart.stream_solves",
+                 "test_functions.quadratures", "evolution.advection_s",
+                 "evolution.diffusion_s"):
+        assert metrics[name] > 0, name

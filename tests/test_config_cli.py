@@ -279,6 +279,10 @@ _BAD_HEADERS = {
     "header-list": [_HEADER],
     "nu-nan": dict(_HEADER, nu=float("nan")),
     "nr-inf": dict(_HEADER, nr=float("inf")),
+    "nr-fraction": dict(_HEADER, nr=24.9),
+    "nr-string": dict(_HEADER, nr="24"),
+    "nu-string": dict(_HEADER, nu="0.001"),
+    "t-negative": dict(_HEADER, t=-5.0),
 }
 _NAN_OVERRIDES = {
     "dt": {"dt": float("nan")},

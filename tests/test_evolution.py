@@ -24,6 +24,7 @@ from axisymlab import evolution
 from axisymlab.exceptions import NonFiniteFieldError, NumericalBlowupError
 from axisymlab.grid import ScalarField, VelocityField, build_grid
 from axisymlab.initial_conditions import gaussian_ring_xi
+from axisymlab.lagrangian import _diffuse_dual
 
 
 def heat_kernel_xi(grid, sigma2):
@@ -83,15 +84,29 @@ def test_xi_diffusion_conserves_r3_mass():
     assert abs(after - before) < 1e-10 * abs(before)
 
 
-def test_diffusion_validation():
+# (diffusion, field role, relative tolerance of the nu = 0 copy); the omega
+# step runs on r omega, so dividing by r again may move the last bit
+_DIFFUSIONS = {
+    "xi": (diffuse_relative_vorticity, "relative_vorticity", 0.0),
+    "omega": (diffuse_vorticity, "vorticity", 1e-15),
+    "dual": (_diffuse_dual, "dual", 0.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_DIFFUSIONS))
+def test_diffusion_validation(name):
+    # all three diffusions step through separable.theta_step and its checks
+    diffuse, role, rtol = _DIFFUSIONS[name]
     g = build_grid(8, 8, 1.0, -1.0, 1.0)
-    xi = ScalarField(g, np.ones((8, 8)), role="relative_vorticity")
+    f = ScalarField(g, np.random.default_rng(0).standard_normal((8, 8)), role=role)
     with pytest.raises(ValueError):
-        diffuse_relative_vorticity(xi, 0.1, -0.1)
+        diffuse(f, 0.1, -0.1)
     with pytest.raises(ValueError):
-        diffuse_relative_vorticity(xi, 0.1, 0.1, theta=0.3)
-    unchanged = diffuse_relative_vorticity(xi, 0.0, 0.1)
-    assert np.array_equal(unchanged.values, xi.values)
+        diffuse(f, 0.1, 0.1, theta=0.3)
+    with pytest.raises(ValueError):
+        diffuse(f, -0.1, 0.1)
+    unchanged = diffuse(f, 0.0, 0.1)
+    np.testing.assert_allclose(unchanged.values, f.values, rtol=rtol, atol=0.0)
 
 
 def test_advection_rigid_translation():

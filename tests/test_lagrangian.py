@@ -383,6 +383,9 @@ def test_transport_validation():
         )
     with pytest.raises(ValueError):
         solve_forward_transport(series, theta0, T=1.0, n_steps=4, source=3.0)
+    for solve, datum in ((solve_forward_transport, theta0), (solve_backward_transport, None)):
+        with pytest.raises(ValueError):
+            solve(series, datum, T=1.0, n_steps=4, nu=-1e-2)
     with pytest.raises(ValueError):
         solve_backward_transport(
             series, None, T=1.0, n_steps=4,

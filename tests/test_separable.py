@@ -113,7 +113,8 @@ def test_dual_diffusion_matches_dense(theta):
     g = _grid()
     f = _rhs(5)
     want = _theta_step_oracle(lambda v: -apply_stream_operator(v, g), f, theta)
-    assert _rel(_diffuse_dual(f, g, NU, DT, theta), want) <= 1e-12
+    got = _diffuse_dual(ScalarField(g, f, role="dual"), NU, DT, theta)
+    assert _rel(got.values, want) <= 1e-12
 
 
 def test_solve_separable_rejects_unknown_closure():
