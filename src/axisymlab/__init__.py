@@ -103,7 +103,6 @@ from .test_functions import (
 from .initial_conditions import (
     gaussian_ring_xi,
     hill_impulse,
-    hill_translation_speed,
     hill_vortex_stream,
     hill_vortex_velocity,
     hill_vortex_velocity_field,
@@ -113,7 +112,15 @@ from .initial_conditions import (
 )
 from .config import RunConfig, load_config_file, run_from_config, validate_config_dict
 from .sweep import SweepResult, signed_moment_experiment, sweep
-from .cli import cli_main
 from .exceptions import ConfigError, NonFiniteFieldError, NumericalBlowupError
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_")] + ["cli_main"]
+
+
+def __getattr__(name):
+    # cli loads on first use, so `python -m axisymlab.cli` finds it not yet imported
+    if name == "cli_main":
+        from .cli import cli_main
+
+        return cli_main
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -178,7 +178,9 @@ def diffuse_vorticity(
     applied here as -(1/r) B(r omega) with zero-flux truncation closures so
     the operator is self-adjoint in the r weight.  The only cell-sum leak of
     omega is the physical one through the axis.  The theta step is taken for
-    r omega, whose diffusion operator is -B itself.
+    r omega, whose diffusion operator is -B itself.  At nu = 0 omega comes
+    back unchanged (after theta_step's checks): r omega / r would move it by
+    round-off.
     """
     grid = omega.grid
     r = grid.r_col
@@ -186,7 +188,7 @@ def diffuse_vorticity(
                      lambda v: apply_stream_operator(v, grid, outer_r="neumann", z_bc="neumann"),
                      stream_operator_radial(grid, outer_r="neumann"), grid.hz, "neumann",
                      nu, dt, theta)
-    return omega.with_values(sol / r)
+    return omega.with_values(sol / r if nu > 0.0 else omega.values.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -371,15 +373,11 @@ def step_conservative_omega(state: FluidState, plan: "TimeStepPlan") -> FluidSta
     """
     dt = _require_dt(plan)
     grid = state.grid
-    omega = state.omega_field()
-    if state.nu > 0.0:
-        omega = diffuse_vorticity(omega, state.nu, 0.5 * dt, plan.theta)
+    omega = diffuse_vorticity(state.omega_field(), state.nu, 0.5 * dt, plan.theta)
     w = omega.values
     w1 = w + dt * _muscl_rhs(w, state.u)
     w2 = 0.5 * w + 0.5 * (w1 + dt * _muscl_rhs(w1, state.u))
-    omega = omega.with_values(w2)
-    if state.nu > 0.0:
-        omega = diffuse_vorticity(omega, state.nu, 0.5 * dt, plan.theta)
+    omega = diffuse_vorticity(omega.with_values(w2), state.nu, 0.5 * dt, plan.theta)
     xi = state.xi.with_values(omega.values / grid.r_col)
     return _advanced(state, xi, plan)
 

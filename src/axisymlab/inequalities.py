@@ -22,12 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .test_functions import (
-    TestFunctionSpec,
-    integrate_gradient_power,
-    integrate_power,
-    random_test_functions,
-)
+from .test_functions import TestFunctionSpec, random_test_functions, sample_support
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +65,10 @@ def _batched_ball_averages(d, R, exponents, n: int):
     2*theta(r, z) with cos(theta) clipped from (r^2 + d^2 + z^2 - R^2) /
     (2 r d); the radial factor r^{exponent+1} is integrated exactly across
     each radial quadrature cell so integrable axis singularities cost no
-    accuracy.
+    accuracy.  theta sees z only through z^2 and the z midpoints are
+    symmetric about the centre, so theta is evaluated on the lower half of
+    the z cells, each weighted 2 (the middle cell of an odd n once), and
+    summed over z before any exponent is applied.
     Returns ([weighted integrals, one array per exponent], plain volumes);
     every integral shares the one theta table, so exponent = 0 gives the
     volume exactly.  Integrability at the axis (exponent > -2 whenever a
@@ -78,26 +76,28 @@ def _batched_ball_averages(d, R, exponents, n: int):
     """
     d = np.asarray(d, dtype=np.float64)[:, None, None]
     R = np.asarray(R, dtype=np.float64)[:, None, None]
-    m = d.shape[0]
 
-    # radial and axial quadrature cells over the bounding box of each ball
+    # radial and lower-half axial quadrature cells over the bounding box of each ball
     edges = np.linspace(0.0, 1.0, n + 1)[None, :, None]
     r_lo_box = np.maximum(d - R, 0.0)
     r_edges = r_lo_box + (d + R - r_lo_box) * edges  # (m, n+1, 1)
     r_mid = 0.5 * (r_edges[:, 1:, :] + r_edges[:, :-1, :])
-    z_rel = (np.linspace(0.0, 1.0, n + 1)[:-1] + 0.5 / n)[None, None, :]
-    dz_cell = 2.0 * R[:, :, 0] / n  # (m, 1)
-    z_off = -R + 2.0 * R * z_rel  # offset from center, (m, 1, n)
+    half = (n + 1) // 2
+    z_rel = (np.linspace(0.0, 1.0, n + 1)[:half] + 0.5 / n)[None, None, :]
+    z_off = -R + 2.0 * R * z_rel  # offset from center, (m, 1, half)
 
     num = r_mid**2 + d**2 + z_off**2 - R**2
     den = 2.0 * r_mid * d
     with np.errstate(divide="ignore", invalid="ignore"):
         arg = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.where(num <= 0.0, -1.0, 1.0))
     theta = np.arccos(np.clip(arg, -1.0, 1.0))
+    fold = np.where(np.arange(half) == n // 2, 1.0, 2.0)
+    theta_z = np.einsum("mrz,z->mr", theta, fold)  # (m, n)
 
-    lo, hi = r_edges[:, :-1, :], r_edges[:, 1:, :]
-    weighted = []
-    for exponent in exponents:
+    lo, hi = r_edges[:, :-1, 0], r_edges[:, 1:, 0]
+    dz_cell = 2.0 * R[:, 0, 0] / n
+    integrals = []
+    for exponent in (*exponents, 0.0):
         e2 = exponent + 2.0
         with np.errstate(divide="ignore"):
             if e2 == 0.0:
@@ -105,11 +105,8 @@ def _batched_ball_averages(d, R, exponents, n: int):
                 radial = np.where(lo > 0.0, radial, np.inf)
             else:
                 radial = (hi**e2 - lo**e2) / e2
-        weighted.append(2.0 * np.sum(theta * radial, axis=(1, 2)) * dz_cell[:, 0])
-    vol_radial = (hi**2 - lo**2) / 2.0
-    volume = 2.0 * np.sum(theta * vol_radial, axis=(1, 2)) * dz_cell[:, 0]
-    assert volume.shape == (m,)
-    return weighted, volume
+        integrals.append(2.0 * np.sum(theta_z * radial, axis=1) * dz_cell)
+    return integrals[:-1], integrals[-1]
 
 
 def _batched_ap_products(p, d, R, n: int, weight_exponent=None):
@@ -241,8 +238,9 @@ def weighted_sobolev_ratio(
         )
     if not (alpha + t > 0.0):
         raise ValueError(f"condition alpha + t > 0 violated: {alpha} + {t} <= 0")
-    num = integrate_power(f, t, alpha, n) ** (1.0 / t)
-    den = integrate_gradient_power(f, s, beta, n) ** (1.0 / s)
+    sample = sample_support(f, n)
+    num = sample.integral(sample.f, t, alpha) ** (1.0 / t)
+    den = sample.integral(sample.grad, s, beta) ** (1.0 / s)
     if den == 0.0:
         return 0.0
     return float(num / den)
@@ -301,10 +299,11 @@ def interpolation_ratio(f: TestFunctionSpec, p: float, n: int = 192) -> float:
     if r_lo <= 0.0:
         raise ValueError("support must stay away from r = 0 for the r^{1-p} factor")
     lam = interpolation_lambda(p)
-    num = integrate_power(f, 4.0, 1.0, n) ** 0.25
-    a = integrate_power(f, 2.0, 1.0, n) ** (0.5 * lam)
-    b = integrate_gradient_power(f, 2.0, 1.0, n) ** 0.25
-    c = integrate_gradient_power(f, p, 1.0 - p, n) ** ((0.5 - lam) / p)
+    sample = sample_support(f, n)
+    num = sample.integral(sample.f, 4.0, 1.0) ** 0.25
+    a = sample.integral(sample.f, 2.0, 1.0) ** (0.5 * lam)
+    b = sample.integral(sample.grad, 2.0, 1.0) ** 0.25
+    c = sample.integral(sample.grad, p, 1.0 - p) ** ((0.5 - lam) / p)
     den = a * b * c
     if den == 0.0:
         return 0.0
@@ -318,9 +317,10 @@ def nash_ratio(f: TestFunctionSpec, n: int = 192) -> float:
     2/5 + 3/5 balance both amplitude and dilation.
     """
     two_pi = 2.0 * np.pi
-    l2 = (two_pi * integrate_power(f, 2.0, 1.0, n)) ** 0.5
-    l1 = two_pi * integrate_power(f, 1.0, 1.0, n)
-    g2 = (two_pi * integrate_gradient_power(f, 2.0, 1.0, n)) ** 0.5
+    sample = sample_support(f, n)
+    l2 = (two_pi * sample.integral(sample.f, 2.0, 1.0)) ** 0.5
+    l1 = two_pi * sample.integral(sample.f, 1.0, 1.0)
+    g2 = (two_pi * sample.integral(sample.grad, 2.0, 1.0)) ** 0.5
     den = l1**0.4 * g2**0.6
     if den == 0.0:
         return 0.0

@@ -200,11 +200,6 @@ def hill_vortex_velocity_field(
     return VelocityField(grid, ur, uz)
 
 
-def hill_translation_speed(radius: float, amplitude: float) -> float:
-    """Propagation speed of the vortex: U = 2 A a^2 / 15."""
-    return 2.0 * amplitude * radius**2 / 15.0
-
-
 def hill_impulse(radius: float, amplitude: float) -> float:
     """Exact flat half-plane impulse int xi r^3 d(r,z) = 4 A a^5 / 15."""
     return 4.0 * amplitude * radius**5 / 15.0

@@ -372,8 +372,7 @@ def renorm_residual(
         # separable bump: evaluate the spatial factor once, sweep the time
         # weights as scalars
         spatial = np.empty(times.size)
-        b = f.space.value(r2d, z2d)
-        br, bz = f.space.gradient(r2d, z2d)
+        b, br, bz = f.space.evaluate(r2d, z2d)
         wt, dwt = f.time_weight(times)
         for k in range(times.size):
             u = velocity_series.fields[k]

@@ -12,7 +12,8 @@ quadratures:
   the support boundary.
 
 Integrals of powers and gradients are evaluated on dedicated midpoint
-grids over the support bounding box, independent of any simulation grid.
+grids over the support bounding box, independent of any simulation grid;
+one evaluation there (sample_support) serves every integral of a ratio.
 Space-time variants (separable time profile times a spatial bump) feed the
 weak-form transport residuals.
 """
@@ -20,18 +21,17 @@ weak-form transport residuals.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 
-def _mollifier(q: np.ndarray):
-    """exp(1 - 1/(1-q)) on q < 1, 0 elsewhere, and its q-derivative."""
-    q = np.asarray(q, dtype=np.float64)
+def _mollifier(q: np.ndarray, derivative: bool):
+    """exp(1 - 1/(1-q)) on q < 1, 0 elsewhere, and its q-derivative if asked."""
     inside = q < 1.0
     qs = np.where(inside, q, 0.0)
     m = np.where(inside, np.exp(1.0 - 1.0 / (1.0 - qs)), 0.0)
-    dm = np.where(inside, -m / (1.0 - qs) ** 2, 0.0)
-    return m, dm
+    return m, (np.where(inside, -m / (1.0 - qs) ** 2, 0.0) if derivative else None)
 
 
 @dataclass(frozen=True)
@@ -85,72 +85,56 @@ class TestFunctionSpec:
         """Return the spec of f(mu r, mu z) (same amplitude)."""
         if mu <= 0:
             raise ValueError("dilation factor must be positive")
-        p = dict(self.params)
-        if self.family == "gaussian_bump":
-            for k in ("r0", "z0", "wr", "wz"):
-                p[k] = p[k] / mu
-        elif self.family == "ring_bump":
-            for k in ("r0", "z0", "d0", "w"):
-                p[k] = p[k] / mu
-        else:
-            for k in ("r_lo", "r_hi", "z_lo", "z_hi"):
-                p[k] = p[k] / mu
+        p = {k: v if k == "amplitude" else v / mu for k, v in self.params.items()}
         return replace(self, params=p)
 
     # -- evaluation -------------------------------------------------------
 
+    def evaluate(self, r, z):
+        """(f, f_r, f_z) at (r, z) from one mollifier (or polynomial) evaluation."""
+        return self._sample(r, z, True)
+
     def value(self, r, z) -> np.ndarray:
-        r = np.asarray(r, dtype=np.float64)
-        z = np.asarray(z, dtype=np.float64)
-        p = self.params
-        if self.family == "gaussian_bump":
-            q = ((r - p["r0"]) / p["wr"]) ** 2 + ((z - p["z0"]) / p["wz"]) ** 2
-            m, _ = _mollifier(q)
-            return p["amplitude"] * m
-        if self.family == "ring_bump":
-            rho = np.hypot(r - p["r0"], z - p["z0"])
-            q = ((rho - p["d0"]) / p["w"]) ** 2
-            m, _ = _mollifier(q)
-            return p["amplitude"] * m
-        return self._poly(r, z)[0]
+        """f at (r, z), without the gradient work of evaluate."""
+        return self._sample(r, z, False)[0]
 
     def gradient(self, r, z):
+        return self.evaluate(r, z)[1:]
+
+    def _sample(self, r, z, with_gradient: bool):
         r = np.asarray(r, dtype=np.float64)
         z = np.asarray(z, dtype=np.float64)
         p = self.params
+        a = p["amplitude"]
+        if self.family == "poly_bump":
+            lr = p["r_hi"] - p["r_lo"]
+            lz = p["z_hi"] - p["z_lo"]
+            ur = (r - p["r_lo"]) / lr
+            uz = (z - p["z_lo"]) / lz
+            inside = (ur > 0.0) & (ur < 1.0) & (uz > 0.0) & (uz < 1.0)
+            ur = np.where(inside, ur, 0.0)
+            uz = np.where(inside, uz, 0.0)
+            pr = 16.0 * ur**2 * (1.0 - ur) ** 2
+            pz = 16.0 * uz**2 * (1.0 - uz) ** 2
+            dpr = 16.0 * (2.0 * ur * (1.0 - ur) ** 2 - 2.0 * ur**2 * (1.0 - ur)) / lr
+            dpz = 16.0 * (2.0 * uz * (1.0 - uz) ** 2 - 2.0 * uz**2 * (1.0 - uz)) / lz
+            return a * pr * pz, a * dpr * pz, a * pr * dpz
         if self.family == "gaussian_bump":
             xr = (r - p["r0"]) / p["wr"]
             xz = (z - p["z0"]) / p["wz"]
-            _, dm = _mollifier(xr**2 + xz**2)
-            a = p["amplitude"]
-            return a * dm * 2.0 * xr / p["wr"], a * dm * 2.0 * xz / p["wz"]
-        if self.family == "ring_bump":
-            dr = r - p["r0"]
-            dz = z - p["z0"]
-            rho = np.hypot(dr, dz)
-            safe = np.where(rho > 0.0, rho, 1.0)
-            q = ((rho - p["d0"]) / p["w"]) ** 2
-            _, dm = _mollifier(q)
-            common = p["amplitude"] * dm * 2.0 * (rho - p["d0"]) / p["w"] ** 2 / safe
-            common = np.where(rho > 0.0, common, 0.0)
-            return common * dr, common * dz
-        return self._poly(r, z)[1:]
-
-    def _poly(self, r, z):
-        p = self.params
-        lr = p["r_hi"] - p["r_lo"]
-        lz = p["z_hi"] - p["z_lo"]
-        ur = (r - p["r_lo"]) / lr
-        uz = (z - p["z_lo"]) / lz
-        inside = (ur > 0.0) & (ur < 1.0) & (uz > 0.0) & (uz < 1.0)
-        ur = np.where(inside, ur, 0.0)
-        uz = np.where(inside, uz, 0.0)
-        a = p["amplitude"]
-        pr = 16.0 * ur**2 * (1.0 - ur) ** 2
-        pz = 16.0 * uz**2 * (1.0 - uz) ** 2
-        dpr = 16.0 * (2.0 * ur * (1.0 - ur) ** 2 - 2.0 * ur**2 * (1.0 - ur)) / lr
-        dpz = 16.0 * (2.0 * uz * (1.0 - uz) ** 2 - 2.0 * uz**2 * (1.0 - uz)) / lz
-        return a * pr * pz, a * dpr * pz, a * pr * dpz
+            m, dm = _mollifier(xr**2 + xz**2, with_gradient)
+            if not with_gradient:
+                return (a * m,)
+            return a * m, a * dm * 2.0 * xr / p["wr"], a * dm * 2.0 * xz / p["wz"]
+        dr = r - p["r0"]
+        dz = z - p["z0"]
+        rho = np.hypot(dr, dz)
+        m, dm = _mollifier(((rho - p["d0"]) / p["w"]) ** 2, with_gradient)
+        if not with_gradient:
+            return (a * m,)
+        safe = np.where(rho > 0.0, rho, 1.0)
+        common = np.where(rho > 0.0, a * dm * 2.0 * (rho - p["d0"]) / p["w"] ** 2 / safe, 0.0)
+        return a * m, common * dr, common * dz
 
 
 def support_quadrature(spec: TestFunctionSpec, n: int = 256):
@@ -169,23 +153,40 @@ def support_quadrature(spec: TestFunctionSpec, n: int = 256):
     return r2d, z2d, hr * hz
 
 
+class SupportSample(NamedTuple):
+    """|f| and |grad f| of one test function at its support quadrature nodes."""
+
+    r: np.ndarray
+    area: float
+    f: np.ndarray
+    grad: np.ndarray
+
+    def integral(self, values: np.ndarray, power: float, weight_exponent: float) -> float:
+        """quadrature of values^power * r^weight_exponent; values is self.f or self.grad."""
+        return float(np.sum(values**power * self.r**weight_exponent) * self.area)
+
+
+def sample_support(spec: TestFunctionSpec, n: int = 256) -> SupportSample:
+    """One evaluation of spec on support_quadrature(spec, n)."""
+    r2d, z2d, da = support_quadrature(spec, n)
+    f, f_r, f_z = spec.evaluate(r2d, z2d)
+    return SupportSample(r2d, da, np.abs(f), np.hypot(f_r, f_z))
+
+
 def integrate_power(
     spec: TestFunctionSpec, power: float, weight_exponent: float, n: int = 256
 ) -> float:
     """quadrature of |f|^power * r^weight_exponent over the support."""
-    r2d, z2d, da = support_quadrature(spec, n)
-    v = np.abs(spec.value(r2d, z2d))
-    return float(np.sum(v**power * r2d**weight_exponent) * da)
+    s = sample_support(spec, n)
+    return s.integral(s.f, power, weight_exponent)
 
 
 def integrate_gradient_power(
     spec: TestFunctionSpec, power: float, weight_exponent: float, n: int = 256
 ) -> float:
     """quadrature of |grad f|^power * r^weight_exponent over the support."""
-    r2d, z2d, da = support_quadrature(spec, n)
-    gr, gz = spec.gradient(r2d, z2d)
-    g = np.hypot(gr, gz)
-    return float(np.sum(g**power * r2d**weight_exponent) * da)
+    s = sample_support(spec, n)
+    return s.integral(s.grad, power, weight_exponent)
 
 
 def random_test_functions(count: int, rng_seed: int, width_range=(0.05, 0.4)):
@@ -275,10 +276,8 @@ class SpaceTimeBump:
 
     def norm(self, n: int = 64) -> float:
         """sup|f| + sup|f_t| + sup|grad f| over a sample of the support."""
-        r2d, z2d, _ = support_quadrature(self.space, n)
-        v = np.max(np.abs(self.space.value(r2d, z2d)))
-        gr, gz = self.space.gradient(r2d, z2d)
-        g = np.max(np.hypot(gr, gz))
+        s = sample_support(self.space, n)
+        v, g = np.max(s.f), np.max(s.grad)
         ts = np.linspace(0.0, self.tau, 65)
         w, dw = self.time_weight(ts)
         return float(np.max(w) * (v + g) + np.max(np.abs(dw)) * v)

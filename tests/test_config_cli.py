@@ -2,10 +2,13 @@ import copy
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import axisymlab
 from axisymlab import (
     ConfigError,
     NumericalBlowupError,
@@ -334,6 +337,17 @@ def test_removed_config_keys_rejected(tmp_path, capsys, key, value):
     config = write_config(tmp_path, doc)
     assert cli_main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 1
     assert key in capsys.readouterr().err
+
+
+def test_cli_module_runs_without_warning():
+    # the package imports cli lazily, so runpy finds no cli module already
+    # in sys.modules when it executes it as __main__
+    src = os.path.dirname(os.path.dirname(os.path.abspath(axisymlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "axisymlab.cli", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0
+    assert "RuntimeWarning" not in done.stderr
 
 
 def test_cli_exit_code_validation(tmp_path, capsys):

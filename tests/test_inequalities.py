@@ -16,11 +16,19 @@ from axisymlab import (
     weighted_sobolev_ratio,
 )
 from axisymlab import TestFunctionSpec as FnSpec
+from axisymlab import test_functions
+from axisymlab.inequalities import _batched_ap_products, _batched_ball_averages
 from axisymlab.test_functions import integrate_gradient_power, integrate_power
 
 BUMP = FnSpec(
     "gaussian_bump", {"r0": 1.5, "z0": 0.2, "wr": 0.7, "wz": 0.5, "amplitude": 2.0}
 )
+# one member of each family
+MEMBERS = [
+    BUMP,
+    FnSpec("ring_bump", {"r0": 1.2, "z0": 0.0, "d0": 0.6, "w": 0.25, "amplitude": 1.5}),
+    FnSpec("poly_bump", {"r_lo": 0.5, "r_hi": 2.0, "z_lo": -0.5, "z_hi": 1.0, "amplitude": 1.0}),
+]
 
 
 def test_ball3d_validation():
@@ -113,15 +121,110 @@ def test_ap_scan_report():
         ap_scan(1.5, sample_count=100)
 
 
+def _full_z_ball_averages(d, R, exponents, n):
+    # the unfolded quadrature: theta on every z cell, summed together with
+    # the radial factor of each exponent
+    d = np.asarray(d, dtype=np.float64)[:, None, None]
+    R = np.asarray(R, dtype=np.float64)[:, None, None]
+    edges = np.linspace(0.0, 1.0, n + 1)[None, :, None]
+    r_lo_box = np.maximum(d - R, 0.0)
+    r_edges = r_lo_box + (d + R - r_lo_box) * edges
+    r_mid = 0.5 * (r_edges[:, 1:, :] + r_edges[:, :-1, :])
+    z_off = -R + 2.0 * R * (np.linspace(0.0, 1.0, n + 1)[:-1] + 0.5 / n)[None, None, :]
+    num = r_mid**2 + d**2 + z_off**2 - R**2
+    den = 2.0 * r_mid * d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        arg = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.where(num <= 0.0, -1.0, 1.0))
+    theta = np.arccos(np.clip(arg, -1.0, 1.0))
+    lo, hi = r_edges[:, :-1, :], r_edges[:, 1:, :]
+    out = []
+    for exponent in (*exponents, 0.0):
+        e2 = exponent + 2.0
+        radial = np.log(hi / lo) if e2 == 0.0 else (hi**e2 - lo**e2) / e2
+        out.append(2.0 * np.sum(theta * radial, axis=(1, 2)) * 2.0 * R[:, 0, 0] / n)
+    return out[:-1], out[-1]
+
+
+@pytest.mark.parametrize("n", [9, 24, 48])
+def test_ball_averages_fold_the_z_symmetry(n):
+    # balls on the axis, meeting it and clear of it; the folded quadrature
+    # differs from the unfolded one by summation order and the round-off of
+    # the mirrored midpoints only
+    d = np.array([0.0, 0.3, 1.0, 3.0, 2.5, 12.0])
+    R = np.array([0.7, 1.0, 1.0, 1.0, 1.0, 4.0])
+    for exponents in ((-1.5, 3.0), (-1.2, 2.4), (0.0, -0.0)):
+        got, vol = _batched_ball_averages(d, R, exponents, n)
+        want, want_vol = _full_z_ball_averages(d, R, exponents, n)
+        for g, w in zip([*got, vol], [*want, want_vol]):
+            np.testing.assert_allclose(g, w, rtol=1e-14, atol=0.0)
+    # the e2 == 0 log branch, on the balls clear of the axis
+    clear = d > R
+    (got,), vol = _batched_ball_averages(d[clear], R[clear], (-2.0,), n)
+    (want,), _ = _full_z_ball_averages(d[clear], R[clear], (-2.0,), n)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    # both constant-weight averages share the volume's arithmetic
+    assert np.all(_batched_ap_products(1.5, d, R, n, weight_exponent=0.0) == 1.0)
+
+
+def test_evaluate_is_value_and_gradient():
+    for s in MEMBERS:
+        r_lo, r_hi, z_lo, z_hi = s.support_box()
+        r, z = np.meshgrid(np.linspace(r_lo, r_hi, 41), np.linspace(z_lo, z_hi, 37), indexing="ij")
+        f, f_r, f_z = s.evaluate(r, z)
+        g_r, g_z = s.gradient(r, z)
+        assert np.array_equal(f, s.value(r, z))
+        assert np.array_equal(f_r, g_r) and np.array_equal(f_z, g_z)
+        assert np.any(f != 0.0) and np.any(f_r != 0.0) and np.any(f_z != 0.0)
+
+
+def test_ratios_equal_their_integral_formulas():
+    n, p = 64, 1.8
+    s, t, alpha, beta = sobolev_tuple(1.6)
+    lam = interpolation_lambda(p)
+    two_pi = 2.0 * np.pi
+    for f in MEMBERS:
+        def P(power, weight_exponent):
+            return integrate_power(f, power, weight_exponent, n)
+
+        def G(power, weight_exponent):
+            return integrate_gradient_power(f, power, weight_exponent, n)
+
+        sobolev = P(t, alpha) ** (1.0 / t) / G(s, beta) ** (1.0 / s)
+        assert weighted_sobolev_ratio(f, s, t, alpha, beta, n=n) == sobolev
+        den = P(2.0, 1.0) ** (0.5 * lam) * G(2.0, 1.0) ** 0.25 * G(p, 1.0 - p) ** ((0.5 - lam) / p)
+        assert interpolation_ratio(f, p, n=n) == P(4.0, 1.0) ** 0.25 / den
+        den = (two_pi * P(1.0, 1.0)) ** 0.4 * ((two_pi * G(2.0, 1.0)) ** 0.5) ** 0.6
+        assert nash_ratio(f, n=n) == (two_pi * P(2.0, 1.0)) ** 0.5 / den
+
+
+def test_each_ratio_samples_its_test_function_once(monkeypatch):
+    calls = {"quadratures": 0, "mollifiers": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(test_functions, "support_quadrature",
+                        counted("quadratures", test_functions.support_quadrature))
+    monkeypatch.setattr(test_functions, "_mollifier",
+                        counted("mollifiers", test_functions._mollifier))
+    s, t, alpha, beta = sobolev_tuple(2.0)
+    for ratio in (lambda f: weighted_sobolev_ratio(f, s, t, alpha, beta, n=32),
+                  lambda f: interpolation_ratio(f, 1.8, n=32),
+                  lambda f: nash_ratio(f, n=32)):
+        for f in MEMBERS:
+            calls.update(quadratures=0, mollifiers=0)
+            ratio(f)
+            assert calls["quadratures"] == 1
+            assert calls["mollifiers"] == (0 if f.family == "poly_bump" else 1)
+
+
 def test_test_function_gradients_match_differences():
-    specs = [
-        BUMP,
-        FnSpec("ring_bump", {"r0": 1.2, "z0": 0.0, "d0": 0.6, "w": 0.25, "amplitude": 1.5}),
-        FnSpec("poly_bump", {"r_lo": 0.5, "r_hi": 2.0, "z_lo": -0.5, "z_hi": 1.0, "amplitude": 1.0}),
-    ]
     rng = np.random.default_rng(5)
     h = 1e-6
-    for s in specs:
+    for s in MEMBERS:
         r_lo, r_hi, z_lo, z_hi = s.support_box()
         r = rng.uniform(r_lo + 0.05, r_hi - 0.05, size=200)
         z = rng.uniform(z_lo + 0.05, z_hi - 0.05, size=200)
