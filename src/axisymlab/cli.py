@@ -9,9 +9,10 @@ Subcommands:
     renorm-check --run D [--beta NAME]     renormalization residuals of a run
     diag         --checkpoint F            one diagnostics row for a checkpoint
 
-Exit codes: 0 success, 1 configuration/validation error, 2 numerical failure.
-Argument errors are validation errors (exit 1), so the parser raises instead
-of calling sys.exit.
+Exit codes: 0 success, 1 configuration/validation error, 2 numerical failure,
+3 program fault (any other exception: cli_main lets it propagate, and main
+prints its traceback).  Argument errors are validation errors (exit 1), so
+the parser raises instead of calling sys.exit.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from .exceptions import ConfigError, NumericalBlowupError
 
@@ -212,7 +214,12 @@ def cli_main(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_main())
+    try:
+        code = cli_main()
+    except Exception:
+        traceback.print_exc()
+        code = 3
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -195,14 +195,14 @@ def run_from_config(config, out_dir: str, extra_hook=None):
         f.write(_canonical_json(config.doc))
 
     checkpoints = []
-    sample_count = [0]
 
     def hook(s, k):
         # checkpoint_every counts sampling events, not raw steps, so the two
-        # cadences compose; 0 disables periodic checkpoints
+        # cadences compose; 0 disables periodic checkpoints.  The collector
+        # holds the initial record and one per earlier sampled step, so
+        # len(collector.records) numbers this sampling event from 1
         if config.checkpoint_every and k > 0:
-            sample_count[0] += 1
-            if sample_count[0] % config.checkpoint_every == 0:
+            if len(collector.records) % config.checkpoint_every == 0:
                 name = f"checkpoint_{s.step_index:06d}.axf1"
                 write_checkpoint(s, os.path.join(out_dir, name))
                 checkpoints.append(name)

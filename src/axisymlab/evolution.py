@@ -47,6 +47,7 @@ from .interpolation import interp_bicubic, sample_velocity
 from .separable import flux_form_radial, theta_step
 
 CHECKPOINT_MAGIC = "AXF1"
+MAX_STEPS = 10_000_000  # run() gives up on a t_final it cannot reach in this many steps
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +266,6 @@ def _advective_dt(grid: HalfPlaneGrid, speeds, cfl: float, dt_max: float = np.in
 # full steps
 
 
-def _require_dt(plan: "TimeStepPlan") -> float:
-    plan.validated()
-    if plan.dt is None:
-        raise ValueError("a single step needs plan.dt set; run() fills it adaptively")
-    return plan.dt
-
-
 def _midpoint_velocity(state: FluidState, dt: float) -> VelocityField:
     """u^n + (dt / 2 dt_prev)(u^n - u^{n-1}), or u^n without history."""
     u, u_prev = state.u, state.u_prev
@@ -285,101 +279,87 @@ def _midpoint_velocity(state: FluidState, dt: float) -> VelocityField:
     )
 
 
-def _advanced(state: FluidState, xi: ScalarField, plan: "TimeStepPlan") -> FluidState:
-    """The solved state after one step of length plan.dt that ends with xi.
+def _advanced(state: FluidState, xi: ScalarField, dt: float) -> FluidState:
+    """The solved state after one step of length dt that ends with xi.
 
     Records the start-of-step velocity as the history of the next step.
     """
     return replace(
         state,
         xi=xi,
-        t=state.t + plan.dt,
+        t=state.t + dt,
         step_index=state.step_index + 1,
         u=_solved_velocity(state.grid, xi, state.boundary),
         u_prev=state.u,
-        dt_prev=plan.dt,
+        dt_prev=dt,
     )
 
 
-def step_viscous(state: FluidState, plan: "TimeStepPlan") -> FluidState:
+def step_viscous(state: FluidState, dt: float, theta: float = 0.5) -> FluidState:
     """One Strang-split step: diffuse dt/2, advect dt, diffuse dt/2, re-solve.
 
     The advection uses the velocity extrapolated to the step midpoint from
     state.u and state.u_prev; a state without history (a fresh or restarted
     run) advects with state.u.  The returned state carries state.u and dt as
-    its history.  plan.dt must be set; theta is read from the plan as well,
-    the outer boundary treatment from the state.
+    its history.  theta weights the diffusion, whose theta_step rejects a bad
+    dt or theta even at nu = 0; the boundary treatment comes from the state.
     """
-    dt = _require_dt(plan)
-    diffuse = partial(diffuse_relative_vorticity, nu=state.nu, theta=plan.theta)
+    diffuse = partial(diffuse_relative_vorticity, nu=state.nu, theta=theta)
     xi = _split_step(state.xi, _midpoint_velocity(state, dt), dt, diffuse)
-    return _advanced(state, xi, plan)
+    return _advanced(state, xi, dt)
 
 
-def _van_leer_slopes(values: np.ndarray, axis: int, axis_symmetry: str) -> np.ndarray:
-    """Limited slopes per cell along one axis (van Leer harmonic limiter)."""
-    v = values if axis == 0 else values.T
-    pad_lo = -v[0] if axis_symmetry == "odd" and axis == 0 else v[0]
-    ext = np.concatenate([pad_lo[None, :], v, v[-1][None, :]], axis=0)
+def _flux_difference(w, ghost, vel, vel_lo, h) -> np.ndarray:
+    """-(F[i+1/2] - F[i-1/2]) / h along the first axis, F the limited upwind flux of w.
+
+    Van Leer slopes of w between the row ghost below it and a copy of its
+    last row above; the ghost takes the first cell's slope, mirrored.  Face
+    velocities average adjacent cells of vel: vel_lo on the low face, the
+    last cell's on the high one.
+    """
+    ext = np.concatenate([ghost, w, w[-1:]], axis=0)
     a = ext[1:-1] - ext[:-2]
     b = ext[2:] - ext[1:-1]
     prod = a * b
     denom = a + b
     s = np.where(prod > 0.0, 2.0 * prod / np.where(denom != 0.0, denom, 1.0), 0.0)
-    return s if axis == 0 else s.T
+    left = np.concatenate([ghost - 0.5 * s[:1], w + 0.5 * s], axis=0)
+    right = np.concatenate([w - 0.5 * s, w[-1:] + 0.5 * s[-1:]], axis=0)
+    face = np.concatenate([vel_lo, 0.5 * (vel[1:] + vel[:-1]), vel[-1:]], axis=0)
+    f = np.where(face >= 0.0, face * left, face * right)
+    return -(f[1:] - f[:-1]) / h
 
 
 def _muscl_rhs(omega: np.ndarray, u: VelocityField) -> np.ndarray:
     """-div(u omega) in the (r, z) plane with limited upwind face fluxes.
 
-    Face normal velocities average the adjacent cells; the axis face carries
-    exactly zero radial velocity and the outer faces use the boundary cell
-    value (fields in conservation studies vanish there).  The flux sum over
-    cells telescopes, so the plain cell sum of omega is conserved up to the
-    open outer faces.
+    omega is odd across the axis, whose face carries exactly zero radial
+    velocity; the other faces use the boundary cell (fields in conservation
+    studies vanish there).  The flux sum over cells telescopes, so the plain
+    cell sum of omega is conserved up to the open outer faces.
     """
     grid = u.grid
-    nr, nz = grid.nr, grid.nz
-    hr, hz = grid.hr, grid.hz
-
-    sr = _van_leer_slopes(omega, 0, "odd")
-    ur_face = np.zeros((nr + 1, nz))
-    ur_face[1:nr] = 0.5 * (u.u_r[1:] + u.u_r[:-1])
-    ur_face[nr] = u.u_r[-1]
-    left = np.concatenate([-(omega[0] + 0.5 * sr[0])[None, :], omega + 0.5 * sr], axis=0)
-    right = np.concatenate([omega - 0.5 * sr, (omega[-1] + 0.5 * sr[-1])[None, :]], axis=0)
-    fr = np.where(ur_face >= 0.0, ur_face * left, ur_face * right)
-    out = -(fr[1:] - fr[:-1]) / hr
-
-    sz = _van_leer_slopes(omega, 1, "none")
-    uz_face = np.zeros((nr, nz + 1))
-    uz_face[:, 1:nz] = 0.5 * (u.u_z[:, 1:] + u.u_z[:, :-1])
-    uz_face[:, 0] = u.u_z[:, 0]
-    uz_face[:, nz] = u.u_z[:, -1]
-    left = np.concatenate([(omega[:, 0] - 0.5 * sz[:, 0])[:, None], omega + 0.5 * sz], axis=1)
-    right = np.concatenate([omega - 0.5 * sz, (omega[:, -1] + 0.5 * sz[:, -1])[:, None]], axis=1)
-    fz = np.where(uz_face >= 0.0, uz_face * left, uz_face * right)
-    out -= (fz[:, 1:] - fz[:, :-1]) / hz
-    return out
+    out_r = _flux_difference(omega, -omega[:1], u.u_r, np.zeros((1, grid.nz)), grid.hr)
+    out_z = _flux_difference(omega.T, omega.T[:1], u.u_z.T, u.u_z.T[:1], grid.hz)
+    return out_r + out_z.T
 
 
-def step_conservative_omega(state: FluidState, plan: "TimeStepPlan") -> FluidState:
+def step_conservative_omega(state: FluidState, dt: float, theta: float = 0.5) -> FluidState:
     """One step of the conservative omega route (SSP-RK2 MUSCL + diffusion).
 
     Advection is in the divergence form of the omega equation, whose flux
     sum telescopes exactly; with nu > 0 the omega diffusion operator is
     applied in a Strang split around it.  The advecting velocity is state.u
-    throughout the step.
+    throughout the step, and theta weights the diffusion as in step_viscous.
     """
-    dt = _require_dt(plan)
     grid = state.grid
-    omega = diffuse_vorticity(state.omega_field(), state.nu, 0.5 * dt, plan.theta)
+    omega = diffuse_vorticity(state.omega_field(), state.nu, 0.5 * dt, theta)
     w = omega.values
     w1 = w + dt * _muscl_rhs(w, state.u)
     w2 = 0.5 * w + 0.5 * (w1 + dt * _muscl_rhs(w1, state.u))
-    omega = diffuse_vorticity(omega.with_values(w2), state.nu, 0.5 * dt, plan.theta)
+    omega = diffuse_vorticity(omega.with_values(w2), state.nu, 0.5 * dt, theta)
     xi = state.xi.with_values(omega.values / grid.r_col)
-    return _advanced(state, xi, plan)
+    return _advanced(state, xi, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +382,9 @@ class TimeStepPlan:
     scheme: str = "xi_semilagrangian"
     sample_every: int = 1
     blowup_limit: float = 1e6
-    max_steps: int = 10_000_000
 
     def validated(self) -> "TimeStepPlan":
-        if self.dt is not None and self.dt <= 0.0:
+        if self.dt is not None and not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.dt_max is not None and self.dt_max <= 0.0:
             raise ValueError(f"dt_max must be positive, got {self.dt_max}")
@@ -417,8 +396,8 @@ class TimeStepPlan:
             raise ValueError(f"theta must lie in [0.5, 1], got {self.theta}")
         if not (0.0 < self.cfl <= 1.0):
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.blowup_limit <= 0.0 or self.max_steps < 1:
-            raise ValueError("blowup_limit and max_steps must be positive")
+        if self.blowup_limit <= 0.0:
+            raise ValueError("blowup_limit must be positive")
         return self
 
 
@@ -449,19 +428,17 @@ def run(
     limit = plan.blowup_limit * max(float(np.max(np.abs(state.xi.values))), 1.0)
     step = 0
     while state.t < t_final - 1e-12 * max(1.0, abs(t_final)):
-        if step >= plan.max_steps:
+        if step >= MAX_STEPS:
             raise NumericalBlowupError(
-                f"exceeded max_steps={plan.max_steps} before reaching t_final",
+                f"exceeded {MAX_STEPS} steps before reaching t_final",
                 step_index=step,
                 records=records,
             )
         cap = plan.dt_max if plan.dt_max is not None else np.inf
         dt = plan.dt if plan.dt is not None else cfl_dt(state, plan.cfl, dt_max=cap)
-        if not np.isfinite(dt):
-            dt = t_final - state.t
         dt = min(dt, t_final - state.t)
         try:
-            state = stepper(state, replace(plan, dt=dt))
+            state = stepper(state, dt, plan.theta)
         except NonFiniteFieldError as exc:
             # fields validate finiteness on construction; any other error is
             # not a numerical failure and propagates unchanged

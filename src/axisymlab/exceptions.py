@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 CLI exit-code mapping: ConfigError -> 1 (validation), NumericalBlowupError
--> 2 (a field went non-finite or tripped the blow-up guard).  The implicit
-solves are direct, so there is no convergence failure to report.
+-> 2 (a field went non-finite or tripped the blow-up guard), any other
+exception -> 3 (a program fault; cli.main prints its traceback).  The
+implicit solves are direct, so there is no convergence failure to report.
 NonFiniteFieldError is what a field raises when built from non-finite
 values; evolution.run turns it into NumericalBlowupError, and lets every
 other ValueError through unchanged.

@@ -108,7 +108,6 @@ def sweep(
     os.makedirs(out_dir, exist_ok=True)
     all_records = {}
     velocity_snaps = {}
-    snap_times = None
     failed = None
     try:
         for nu in nus:
@@ -122,16 +121,6 @@ def sweep(
 
             _, records = run_from_config(member_doc, member_dir, extra_hook=keep_velocity)
             all_records[nu] = records
-            times = [rec.t for rec in records]
-            if snap_times is None:
-                snap_times = times
-            elif len(times) != len(snap_times) or np.max(
-                np.abs(np.asarray(times) - np.asarray(snap_times))
-            ) > 1e-12 * max(1.0, abs(times[-1])):
-                raise ConfigError(
-                    "sweep members produced misaligned sample times; "
-                    "fix dt and sample_every"
-                )
             velocity_snaps[nu] = snaps
     except NumericalBlowupError as exc:
         failed = exc
@@ -152,11 +141,14 @@ def sweep(
 
     exponent, residual = _fit_deficit_exponent(all_records, nus)
     bound_constant = _deficit_bound_constant(deficit_table, bound_p)
+    # members share dt, tfinal and sample_every, and run's step lengths do not
+    # read nu, so the first member's sample times are every member's
+    sample_times = [rec.t for rec in all_records.get(nus[0], [])]
 
     result = SweepResult(
         nus=nus,
-        sample_times=list(snap_times or []),
-        pairwise_times=list(snap_times or []),
+        sample_times=sample_times,
+        pairwise_times=list(sample_times),
         records=all_records,
         pairwise=pairwise,
         ball_radius=float(ball_radius),
@@ -190,8 +182,6 @@ def _fit_deficit_exponent(all_records, nus):
             return float("nan"), float("nan")
         xs.append(np.log(nu))
         ys.append(np.log(d))
-    if len(xs) < 2:
-        return float("nan"), float("nan")
     coef, res = np.polyfit(xs, ys, 1, full=True)[:2]
     residual = float(res[0]) if len(res) else 0.0
     return float(coef[0]), residual

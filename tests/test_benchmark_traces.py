@@ -49,3 +49,21 @@ def test_tracer_counts_every_traced_layer():
                  "test_functions.quadratures", "evolution.advection_s",
                  "evolution.diffusion_s"):
         assert metrics[name] > 0, name
+
+
+def test_tracer_counts_the_conservative_kernel_route():
+    # hill_kernel's traffic check reads kernel_pairs from the omega route
+    tracing = _load_tracer()
+    grid = build_grid(16, 32, 3.0, -3.0, 3.0)
+    xi = gaussian_ring_xi(grid, 1.0, 0.0, 0.3, 5.0)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        state = make_state(grid, xi, 1e-2, boundary="kernel")
+        evolution.run(state, 0.02, TimeStepPlan(dt=0.01, scheme="omega_conservative"))
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == {"solvers.weighted_pcg"}
+    metrics = tracing.layer_metrics(tracer.spans, 1)
+    for name in ("biot_savart.kernel_pairs", "evolution.step_s"):
+        assert metrics[name] > 0, name

@@ -173,10 +173,10 @@ def test_run_programming_error_leaves_aborted_manifest(tmp_path, monkeypatch):
 
     real_step = evolution.step_viscous
 
-    def broken(state, plan):
+    def broken(state, *args):
         if state.step_index >= 1:
             raise ValueError("argument bug")
-        return real_step(state, plan)
+        return real_step(state, *args)
 
     monkeypatch.setattr(evolution, "step_viscous", broken)
     cfg = write_config(tmp_path, base_doc(tfinal=0.06))
@@ -191,6 +191,27 @@ def test_run_programming_error_leaves_aborted_manifest(tmp_path, monkeypatch):
     with open(out / "diagnostics.csv", newline="") as fh:
         assert len(list(csv.reader(fh))) == 3  # header and two rows
     assert not os.path.exists(out / "checkpoint_final.axf1")
+
+
+def test_main_exits_3_on_a_programming_error(tmp_path, monkeypatch, capsys):
+    # the console entry point reports a program fault with its own exit code,
+    # not 1 (bad input), after cli_main has left the aborted manifest
+    from axisymlab import cli, evolution
+
+    def broken(state, *args):
+        raise RuntimeError("argument bug")
+
+    monkeypatch.setattr(evolution, "step_viscous", broken)
+    out = tmp_path / "bug"
+    cfg = write_config(tmp_path, base_doc())
+    monkeypatch.setattr(sys, "argv", ["axflow", "run", "--config", cfg, "--out", str(out)])
+    with pytest.raises(SystemExit) as info:
+        cli.main()
+    assert info.value.code == 3
+    assert "RuntimeError: argument bug" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "aborted"
+    assert manifest["error"] == "argument bug"
 
 
 def test_checkpoint_cadence_counts_sampling_events(tmp_path):

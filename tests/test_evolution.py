@@ -146,7 +146,7 @@ def test_step_viscous_advects_with_midpoint_velocity():
     u1 = VelocityField(g, 0.3 * z2d * env, 0.4 * env)
     xi = gaussian_ring_xi(g, 1.0, 0.0, 0.3, 1.0)
     st = FluidState(grid=g, xi=xi, nu=0.0, u=u1, u_prev=u0, dt_prev=0.02)
-    out = step_viscous(st, TimeStepPlan(dt=0.01))
+    out = step_viscous(st, 0.01)
     # u^n + (dt / 2 dt_prev)(u^n - u^{n-1}) with dt / 2 dt_prev = 1/4
     mid = VelocityField(g, 1.25 * u1.u_r - 0.25 * u0.u_r, 1.25 * u1.u_z - 0.25 * u0.u_z)
     expect = advect_semi_lagrangian(xi, mid, 0.01)
@@ -161,17 +161,16 @@ def test_step_viscous_velocity_history():
     xi0 = gaussian_ring_xi(g, 1.0, 0.0, 0.3, 1.0)
     st = make_state(g, xi0, 1e-3)
     assert st.u_prev is None and st.dt_prev is None
-    plan = TimeStepPlan(dt=0.02)
-    fresh = step_viscous(st, plan)
+    fresh = step_viscous(st, 0.02)
     assert fresh.u_prev is st.u and fresh.dt_prev == 0.02
     # a velocity history that has not changed extrapolates to itself, so the
     # step reproduces the history-free one bit for bit
-    steady = step_viscous(replace(st, u_prev=st.u, dt_prev=0.01), plan)
+    steady = step_viscous(replace(st, u_prev=st.u, dt_prev=0.01), 0.02)
     assert np.array_equal(steady.xi.values, fresh.xi.values)
     assert np.array_equal(steady.u.u_r, fresh.u.u_r)
     assert np.array_equal(steady.u.u_z, fresh.u.u_z)
     # the conservative route records the same history for a following step
-    cons = step_conservative_omega(fresh, plan)
+    cons = step_conservative_omega(fresh, 0.02)
     assert cons.u_prev is fresh.u and cons.dt_prev == 0.02
 
 
@@ -179,10 +178,9 @@ def test_conservative_cell_sum_telescopes():
     g = build_grid(64, 128, 3.0, -3.0, 3.0)
     xi0 = gaussian_ring_xi(g, 1.0, 0.0, 0.2, 1.0)
     st = make_state(g, xi0, 0.0)
-    plan = TimeStepPlan(dt=0.01, scheme="omega_conservative")
     before = float(np.sum(st.xi.values * g.r_col))
     for _ in range(5):
-        st = step_conservative_omega(st, plan)
+        st = step_conservative_omega(st, 0.01)
         after = float(np.sum(st.xi.values * g.r_col))
         # flat cell sum of omega = r xi moves only through boundary faces,
         # which carry no mass for this compactly supported ring
@@ -190,14 +188,71 @@ def test_conservative_cell_sum_telescopes():
         before = after
 
 
+def _per_axis_slopes(values, axis, axis_symmetry):
+    """Van Leer slopes along one axis, the per-axis reference for _flux_difference."""
+    v = values if axis == 0 else values.T
+    pad_lo = -v[0] if axis_symmetry == "odd" and axis == 0 else v[0]
+    ext = np.concatenate([pad_lo[None, :], v, v[-1][None, :]], axis=0)
+    a = ext[1:-1] - ext[:-2]
+    b = ext[2:] - ext[1:-1]
+    prod = a * b
+    denom = a + b
+    s = np.where(prod > 0.0, 2.0 * prod / np.where(denom != 0.0, denom, 1.0), 0.0)
+    return s if axis == 0 else s.T
+
+
+def _per_axis_muscl_rhs(omega, u):
+    """-div(u omega) with the r and z fluxes written out separately."""
+    grid = u.grid
+    nr, nz = grid.nr, grid.nz
+    hr, hz = grid.hr, grid.hz
+
+    sr = _per_axis_slopes(omega, 0, "odd")
+    ur_face = np.zeros((nr + 1, nz))
+    ur_face[1:nr] = 0.5 * (u.u_r[1:] + u.u_r[:-1])
+    ur_face[nr] = u.u_r[-1]
+    left = np.concatenate([-(omega[0] + 0.5 * sr[0])[None, :], omega + 0.5 * sr], axis=0)
+    right = np.concatenate([omega - 0.5 * sr, (omega[-1] + 0.5 * sr[-1])[None, :]], axis=0)
+    fr = np.where(ur_face >= 0.0, ur_face * left, ur_face * right)
+    out = -(fr[1:] - fr[:-1]) / hr
+
+    sz = _per_axis_slopes(omega, 1, "none")
+    uz_face = np.zeros((nr, nz + 1))
+    uz_face[:, 1:nz] = 0.5 * (u.u_z[:, 1:] + u.u_z[:, :-1])
+    uz_face[:, 0] = u.u_z[:, 0]
+    uz_face[:, nz] = u.u_z[:, -1]
+    left = np.concatenate([(omega[:, 0] - 0.5 * sz[:, 0])[:, None], omega + 0.5 * sz], axis=1)
+    right = np.concatenate([omega - 0.5 * sz, (omega[:, -1] + 0.5 * sz[:, -1])[:, None]], axis=1)
+    fz = np.where(uz_face >= 0.0, uz_face * left, uz_face * right)
+    out -= (fz[:, 1:] - fz[:, :-1]) / hz
+    return out
+
+
+@pytest.mark.parametrize("shape", [(12, 20), (7, 9), (4, 4)])
+def test_muscl_rhs_matches_per_axis_reference(shape):
+    # one flux routine serves both axes; the values (not the sign of a zero)
+    # equal the per-axis form, with its odd axis ghost and zero axis velocity
+    g = build_grid(*shape, 2.0, -1.5, 1.0)
+    r2d, z2d = g.meshes()
+    rng = np.random.default_rng(sum(shape))
+    fields = [r2d * np.exp(-((r2d - 1.0) ** 2 + z2d**2))]  # rises off the axis
+    for _ in range(4):
+        omega = rng.standard_normal(shape)
+        omega[rng.random(shape) < 0.3] = 0.0  # flat runs and zero slopes
+        omega[:, : shape[1] // 3] = 0.0
+        fields.append(omega)
+    for omega in fields:
+        u = VelocityField(g, rng.standard_normal(shape), rng.standard_normal(shape))
+        assert np.array_equal(evolution._muscl_rhs(omega, u), _per_axis_muscl_rhs(omega, u))
+
+
 def test_viscous_step_linf_nonexpanding_at_nu_zero():
     g = build_grid(48, 96, 3.0, -3.0, 3.0)
     xi0 = gaussian_ring_xi(g, 1.0, 0.0, 0.25, 1.0)
     st = make_state(g, xi0, 0.0)
-    plan = TimeStepPlan(dt=0.02, scheme="xi_semilagrangian")
     m0 = float(np.max(np.abs(st.xi.values)))
     for _ in range(10):
-        st = step_viscous(st, plan)
+        st = step_viscous(st, 0.02)
         m = float(np.max(np.abs(st.xi.values)))
         assert m <= m0 + 1e-14
         m0 = m
@@ -271,11 +326,24 @@ def test_plan_validation():
     assert st_plan.dt == 0.1
 
 
+def test_plan_rejects_nan_dt():
+    # a NaN step would otherwise reach run's loop, where min(dt, t_final - t)
+    # keeps it, and the first step would fail as a numerical blow-up
+    with pytest.raises(ValueError, match="dt must be positive"):
+        TimeStepPlan(dt=float("nan")).validated()
+
+
 def test_step_requires_dt():
+    # both steppers reject a step length dt <= 0 and a weight theta outside
+    # [0.5, 1], at nu = 0 too
     g = build_grid(16, 16, 2.0, -1.0, 1.0)
     st = make_state(g, np.zeros((16, 16)), 0.0)
-    with pytest.raises(ValueError):
-        step_viscous(st, TimeStepPlan())
+    for stepper in (step_viscous, step_conservative_omega):
+        for dt in (0.0, -0.1):
+            with pytest.raises(ValueError, match="dt > 0"):
+                stepper(st, dt)
+        with pytest.raises(ValueError, match="theta"):
+            stepper(st, 0.1, theta=0.2)
 
 
 def test_run_lands_on_t_final_and_counts_steps():
@@ -322,7 +390,7 @@ def test_run_lets_programming_errors_through(monkeypatch):
     g = build_grid(16, 32, 3.0, -3.0, 3.0)
     st = make_state(g, gaussian_ring_xi(g, 1.0, 0.0, 0.3, 1.0), 1e-2)
 
-    def broken(state, plan):
+    def broken(state, *args):
         raise ValueError("argument bug")
 
     monkeypatch.setattr(evolution, "step_viscous", broken)
@@ -336,9 +404,9 @@ def test_run_non_finite_step_raises_blowup_with_records(monkeypatch):
     st = make_state(g, gaussian_ring_xi(g, 1.0, 0.0, 0.3, 1.0), 1e-2)
     real_step = evolution.step_viscous
 
-    def overflowing(state, plan):
+    def overflowing(state, *args):
         if state.step_index < 2:
-            return real_step(state, plan)
+            return real_step(state, *args)
         # the third update overflows: building its field fails the finiteness check
         return replace(state, xi=state.xi.with_values(state.xi.values * np.inf))
 
@@ -354,9 +422,8 @@ def test_step_index_advances():
     g = build_grid(32, 64, 3.0, -3.0, 3.0)
     xi0 = gaussian_ring_xi(g, 1.0, 0.0, 0.3, 1.0)
     st = make_state(g, xi0, 1e-3)
-    plan = TimeStepPlan(dt=0.01)
-    s1 = step_viscous(st, plan)
-    s2 = step_conservative_omega(s1, plan)
+    s1 = step_viscous(st, 0.01)
+    s2 = step_conservative_omega(s1, 0.01)
     assert (st.step_index, s1.step_index, s2.step_index) == (0, 1, 2)
     assert s2.t == pytest.approx(0.02)
 
@@ -415,11 +482,10 @@ def test_state_keeps_its_boundary():
     # treatment, so a kernel state stays a kernel state
     g = build_grid(32, 64, 3.0, -3.0, 3.0)
     st = make_state(g, gaussian_ring_xi(g, 1.0, 0.0, 0.3, 1.0), 1e-2, boundary="kernel")
-    plan = TimeStepPlan(dt=0.01)
     results = [
-        step_viscous(st, plan),
-        step_conservative_omega(st, plan),
-        run(st, 0.02, plan)[0],
+        step_viscous(st, 0.01),
+        step_conservative_omega(st, 0.01),
+        run(st, 0.02, TimeStepPlan(dt=0.01))[0],
         refresh_velocity(st),
     ]
     for out in results:
