@@ -43,7 +43,7 @@ from .biot_savart import (
 )
 from .exceptions import NonFiniteFieldError, NumericalBlowupError
 from .grid import HalfPlaneGrid, ScalarField, VelocityField, build_grid
-from .interpolation import interp_bicubic, sample_velocity
+from .interpolation import StencilPlan, interp_bicubic, sample_velocity
 from .separable import flux_form_radial, theta_step
 
 CHECKPOINT_MAGIC = "AXF1"
@@ -196,45 +196,59 @@ def diffuse_vorticity(
 # advection
 
 
-def advect_semi_lagrangian(
-    field: ScalarField, u: VelocityField, dt: float, source=None, t: float = 0.0
-) -> ScalarField:
-    """Transport a field along characteristics of u over time dt.
+def _departure(grid: HalfPlaneGrid, u: VelocityField, dt: float):
+    """Departure points (r, z) of the cell centres over dt, with their StencilPlan.
 
-    Departure points come from an RK2 midpoint integration of dx/dt = u
-    backward in time, u held fixed over the step; values are picked up by
-    bicubic interpolation with the field's own axis parity, clipped to the
-    range of the 4x4 stencil each value reads, so trajectories dipping
-    across r = 0 are handled by reflection and no new extremum appears.
-    A source, callable (t, r, z) -> array, is added by the trapezoid rule
-    along the characteristic: at the departure point at time t and at the
-    arrival point at time t + dt.
+    An RK2 midpoint integration of dx/dt = u backward in time, u held fixed
+    over the step.  They depend only on u and dt, so a march whose velocity
+    stays the same object may compute them once and hand them to every step.
     """
-    grid = field.grid
     r2d, z2d = grid.meshes()
     rm = r2d - 0.5 * dt * u.u_r
     zm = z2d - 0.5 * dt * u.u_z
     urm, uzm = sample_velocity(u, rm, zm)
     dep_r = r2d - dt * urm
     dep_z = z2d - dt * uzm
+    return dep_r, dep_z, StencilPlan(grid, dep_r, dep_z)
+
+
+def advect_semi_lagrangian(
+    field: ScalarField, u: VelocityField, dt: float, source=None, t: float = 0.0,
+    departure=None,
+) -> ScalarField:
+    """Transport a field along characteristics of u over time dt.
+
+    Departure points come from _departure (departure, when given, is its
+    result for this u and dt); values are picked up by bicubic
+    interpolation with the field's own axis parity, clipped to the range of
+    the 4x4 stencil each value reads, so trajectories dipping across r = 0
+    are handled by reflection and no new extremum appears.  A source,
+    callable (t, r, z) -> array, is added by the trapezoid rule along the
+    characteristic: at the departure point at time t and at the arrival
+    point at time t + dt.
+    """
+    grid = field.grid
+    dep_r, dep_z, plan = departure if departure is not None else _departure(grid, u, dt)
     vals = interp_bicubic(
-        field.values, grid, dep_r, dep_z, field.axis_symmetry, clip=True
+        field.values, grid, dep_r, dep_z, field.axis_symmetry, clip=True, plan=plan
     )
     if source is not None:
+        r2d, z2d = grid.meshes()
         vals = vals + 0.5 * dt * (source(t, dep_r, dep_z) + source(t + dt, r2d, z2d))
     return field.with_values(vals)
 
 
 def _split_step(
-    field: ScalarField, u: VelocityField, dt: float, diffuse, source=None, t: float = 0.0
+    field: ScalarField, u: VelocityField, dt: float, diffuse, source=None, t: float = 0.0,
+    departure=None,
 ) -> ScalarField:
     """One Strang-split step: diffuse dt/2, advect dt with source, diffuse dt/2.
 
     diffuse(field, dt=half_dt) -> field is the diffusion half step (a copy
-    at nu = 0); source and t are passed to advect_semi_lagrangian.
+    at nu = 0); source, t and departure are passed to advect_semi_lagrangian.
     """
     field = diffuse(field, dt=0.5 * dt)
-    field = advect_semi_lagrangian(field, u, dt, source, t)
+    field = advect_semi_lagrangian(field, u, dt, source, t, departure)
     return diffuse(field, dt=0.5 * dt)
 
 

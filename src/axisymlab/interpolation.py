@@ -11,6 +11,9 @@ An optional monotone clip limits the interpolated value to the range of the
 Bermejo & Staniforth, Mon. Wea. Rev. 120 (1992) 2622).  The result never
 leaves the range of the data it reads, so no new extremum appears and the
 max norm cannot grow; the clip only acts near extrema of the data.
+
+The indices and weights of a set of query points form a StencilPlan, which
+serves every field read at those points.
 """
 
 from __future__ import annotations
@@ -57,6 +60,67 @@ def _padded(values: np.ndarray, axis_symmetry: str) -> np.ndarray:
     return out
 
 
+class StencilPlan:
+    """Where and with what weights a set of query points reads a grid.
+
+    For one set of query points on one grid: the flat index of each point's
+    4x4 stencil corner in the raveled padded array, the Catmull-Rom weights
+    along r and z, the points mirrored across the axis (r < 0) and the
+    query shape.  interp_bicubic(..., plan=) interpolates any field on the
+    grid at the points by 16 gathers, so fields read at the same points
+    share one plan.
+    """
+
+    def __init__(self, grid: HalfPlaneGrid, r_query, z_query):
+        rq = np.asarray(r_query, dtype=np.float64)
+        zq = np.asarray(z_query, dtype=np.float64)
+        self.shape = rq.shape
+        rq = rq.ravel()
+        zq = zq.ravel()
+        self.mirrored = rq < 0.0
+        nr, nz = grid.nr, grid.nz
+        x = np.clip(np.abs(rq) / grid.hr - 0.5, -0.5, nr - 0.5)
+        y = np.clip((zq - grid.z_min) / grid.hz - 0.5, -0.5, nz - 0.5)
+        i0 = np.floor(x).astype(np.int64)
+        j0 = np.floor(y).astype(np.int64)
+        self.wr = _catmull_rom_weights(x - i0)
+        self.wz = _catmull_rom_weights(y - j0)
+        self.grid_shape = (nr, nz)
+        self.row = nz + 4
+        # padded index of stencil offset (-1, -1)
+        self.base = (i0 + 1) * self.row + (j0 + 1)
+
+    def _apply(self, values: np.ndarray, axis_symmetry: str, clip: bool) -> np.ndarray:
+        if values.shape != self.grid_shape:
+            raise ValueError(f"field of shape {values.shape} on a plan for {self.grid_shape}")
+        flat = _padded(values, axis_symmetry).ravel()
+        n = self.base.size
+        out = np.zeros(n)
+        acc = np.empty(n)
+        p = np.empty(n)
+        term = np.empty(n)
+        if clip:
+            lo = np.full(n, np.inf)
+            hi = np.full(n, -np.inf)
+        # one fixed order of the sums (rows of b into acc, then acc over a),
+        # so a value never depends on how its plan was built or shared
+        for a in range(4):
+            acc.fill(0.0)
+            for b in range(4):
+                # flat[base + offset] without forming the offset indices
+                flat[a * self.row + b:].take(self.base, out=p, mode="clip")
+                acc += np.multiply(self.wz[b], p, out=term)
+                if clip:
+                    np.minimum(lo, p, out=lo)
+                    np.maximum(hi, p, out=hi)
+            out += np.multiply(self.wr[a], acc, out=term)
+        if clip:
+            out = np.clip(out, lo, hi)
+        if axis_symmetry == "odd":
+            np.negative(out, out=out, where=self.mirrored)
+        return out.reshape(self.shape)
+
+
 def interp_bicubic(
     values: np.ndarray,
     grid: HalfPlaneGrid,
@@ -64,67 +128,35 @@ def interp_bicubic(
     z_query: np.ndarray,
     axis_symmetry: str = "even",
     clip: bool = False,
+    plan: StencilPlan | None = None,
 ) -> np.ndarray:
     """Interpolate cell-centered values at arbitrary points.
 
     Query points with r < 0 are mapped to their mirror image, with a sign
     flip when axis_symmetry is "odd".  Points outside the grid are clamped
     to the boundary cell layer.  clip=True clamps each value to the min/max
-    of the 4x4 stencil it was interpolated from.
+    of the 4x4 stencil it was interpolated from.  plan, when given, is the
+    StencilPlan of these same query points on this grid; without one a plan
+    is built for this call.
     """
     if axis_symmetry not in ("even", "odd", "none"):
         raise ValueError(f"unknown axis symmetry {axis_symmetry!r}")
-    rq = np.asarray(r_query, dtype=np.float64)
-    zq = np.asarray(z_query, dtype=np.float64)
-    shape = rq.shape
-    rq = rq.ravel()
-    zq = zq.ravel()
-
-    if axis_symmetry == "odd":
-        sgn = np.where(rq < 0.0, -1.0, 1.0)
-    else:
-        sgn = 1.0
-    r_eff = np.abs(rq)
-
-    nr, nz = grid.nr, grid.nz
-    x = np.clip(r_eff / grid.hr - 0.5, -0.5, nr - 0.5)
-    y = np.clip((zq - grid.z_min) / grid.hz - 0.5, -0.5, nz - 0.5)
-    i0 = np.floor(x).astype(np.int64)
-    j0 = np.floor(y).astype(np.int64)
-    tx = x - i0
-    ty = y - j0
-
-    P = _padded(values, axis_symmetry)
-    wr = _catmull_rom_weights(tx)
-    wz = _catmull_rom_weights(ty)
-    bi = i0 + 1  # padded index of stencil offset -1
-    bj = j0 + 1
-    out = np.zeros(rq.shape)
-    if clip:
-        lo = np.full(rq.shape, np.inf)
-        hi = np.full(rq.shape, -np.inf)
-    for a in range(4):
-        ia = bi + a
-        acc = np.zeros(rq.shape)
-        for b in range(4):
-            p = P[ia, bj + b]
-            acc += wz[b] * p
-            if clip:
-                np.minimum(lo, p, out=lo)
-                np.maximum(hi, p, out=hi)
-        out += wr[a] * acc
-
-    if clip:
-        out = np.clip(out, lo, hi)
-    return (sgn * out).reshape(shape)
+    if plan is None:
+        plan = StencilPlan(grid, r_query, z_query)
+    elif plan.shape != np.shape(r_query):
+        raise ValueError(f"plan for points of shape {plan.shape}, "
+                         f"queries of shape {np.shape(r_query)}")
+    return plan._apply(values, axis_symmetry, clip)
 
 
 def sample_velocity(u: VelocityField, r_query, z_query):
     """Sample both velocity components at arbitrary points.
 
     The radial component is odd across the axis and the axial component is
-    even, so trajectories crossing r = 0 see a smooth field.
+    even, so trajectories crossing r = 0 see a smooth field.  Both
+    components are read through one StencilPlan.
     """
-    ur = interp_bicubic(u.u_r, u.grid, r_query, z_query, "odd")
-    uz = interp_bicubic(u.u_z, u.grid, r_query, z_query, "even")
+    plan = StencilPlan(u.grid, r_query, z_query)
+    ur = interp_bicubic(u.u_r, u.grid, r_query, z_query, "odd", plan=plan)
+    uz = interp_bicubic(u.u_z, u.grid, r_query, z_query, "even", plan=plan)
     return ur, uz

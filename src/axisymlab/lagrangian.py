@@ -35,7 +35,7 @@ from functools import partial
 import numpy as np
 
 from .biot_savart import apply_stream_operator, stream_operator_radial
-from .evolution import _advective_dt, _split_step, diffuse_relative_vorticity, run
+from .evolution import _advective_dt, _departure, _split_step, diffuse_relative_vorticity, run
 from .grid import HalfPlaneGrid, ScalarField, VelocityField
 from .interpolation import interp_bicubic, sample_velocity
 from .separable import theta_step
@@ -338,6 +338,19 @@ def beta_integral(xi: ScalarField, beta: RenormFunction) -> float:
     return float(np.sum(beta.value(xi.values) * grid.r_col) * grid.cell_area)
 
 
+# times per block of renorm_residual's products: the block holds three
+# full-grid fields per time, so it sets the call's peak memory
+_RENORM_BLOCK = 8
+
+
+def _support_cells(grid: HalfPlaneGrid, spec) -> tuple:
+    """Slices of the cells whose centres lie in spec's support box, one cell to spare."""
+    r_lo, r_hi, z_lo, z_hi = spec.support_box()
+    i0, i1 = np.searchsorted(grid.r_centers, (r_lo, r_hi))
+    j0, j1 = np.searchsorted(grid.z_centers, (z_lo, z_hi))
+    return slice(max(i0 - 1, 0), i1 + 1), slice(max(j0 - 1, 0), j1 + 1)
+
+
 def renorm_residual(
     xi_series: ScalarSeries,
     velocity_series: VelocitySeries,
@@ -365,25 +378,31 @@ def renorm_residual(
     grid = xi_series.grid
     r2d, z2d = grid.meshes()
     w = grid.r_col * grid.cell_area
-    beta_k = [beta.value(f.values) for f in xi_series.fields]
+    # separable bumps: each spatial factor (b, b_r, b_z) is evaluated once,
+    # on the cells around its support box only (it vanishes elsewhere)
+    boxes = [_support_cells(grid, f.space) for f in tests]
+    parts = [np.stack(f.space.evaluate(r2d[box], z2d[box])).reshape(3, -1, 1)
+             for f, box in zip(tests, boxes)]
+    wt, dwt = np.moveaxis(np.reshape([f.time_weight(times) for f in tests],
+                                     (len(tests), 2, times.size)), 0, -1)
 
-    worst = 0.0
-    for f in tests:
-        # separable bump: evaluate the spatial factor once, sweep the time
-        # weights as scalars
-        spatial = np.empty(times.size)
-        b, br, bz = f.space.evaluate(r2d, z2d)
-        wt, dwt = f.time_weight(times)
-        for k in range(times.size):
+    # int beta(xi_k) (b, u_r b_r, u_z b_z) r d(r,z) for every time k and test,
+    # as one (times x box cells) @ (box cells) product per test and block of times
+    integrals = np.empty((3, times.size, len(tests)))
+    for start in range(0, times.size, _RENORM_BLOCK):
+        stop = min(start + _RENORM_BLOCK, times.size)
+        beta_w = np.empty((3, stop - start, grid.nr, grid.nz))
+        for row, k in enumerate(range(start, stop)):
+            bw = beta.value(xi_series.fields[k].values) * w
             u = velocity_series.fields[k]
-            integrand = dwt[k] * b + wt[k] * (u.u_r * br + u.u_z * bz)
-            spatial[k] = np.sum(beta_k[k] * integrand * w)
-        f0 = wt[0] * b
-        dt = np.diff(times)
-        total = float(np.sum(0.5 * dt * (spatial[1:] + spatial[:-1])))
-        total += float(np.sum(beta_k[0] * f0 * w))
-        worst = max(worst, abs(total) / f.norm())
-    return worst
+            beta_w[:, row] = bw, bw * u.u_r, bw * u.u_z
+        for j, ((rows, cols), part) in enumerate(zip(boxes, parts)):
+            block = beta_w[:, :, rows, cols].reshape(3, stop - start, -1)
+            integrals[:, start:stop, j] = (block @ part)[..., 0]
+    spatial = dwt * integrals[0] + wt * (integrals[1] + integrals[2])
+    total = 0.5 * np.diff(times) @ (spatial[1:] + spatial[:-1]) + wt[0] * integrals[0, 0]
+    norms = np.array([f.norm() for f in tests])
+    return float(np.max(np.abs(total) / norms, initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +441,10 @@ def _diffuse_dual(f: ScalarField, nu: float, dt: float, theta: float = 0.5) -> S
 def _march(velocity, datum: ScalarField, grid, T: float, n_steps: int, diffuse, source):
     """Times and fields of n_steps evolution._split_step steps from datum at 0 to T.
 
-    The step from t to t + dt advects with velocity(t + dt / 2).
+    The step from t to t + dt advects with velocity(t + dt / 2).  Departure
+    points depend only on that velocity and dt, so they are computed again
+    only when velocity returns a different object (every step of a
+    time-varying series, once on a frozen one).
     """
     if n_steps < 1 or T <= 0.0:
         raise ValueError("need T > 0 and at least one step")
@@ -431,8 +453,12 @@ def _march(velocity, datum: ScalarField, grid, T: float, n_steps: int, diffuse, 
     dt = T / n_steps
     times = dt * np.arange(n_steps + 1)
     fields = [datum.copy()]
+    u_held = departure = None
     for t in times[:-1]:
-        fields.append(_split_step(fields[-1], velocity(t + 0.5 * dt), dt, diffuse, source, t))
+        u = velocity(t + 0.5 * dt)
+        if u is not u_held:
+            u_held, departure = u, _departure(datum.grid, u, dt)
+        fields.append(_split_step(fields[-1], u, dt, diffuse, source, t, departure))
     return times, fields
 
 
@@ -477,9 +503,15 @@ def solve_backward_transport(
     if f_final is None:
         f_final = ScalarField(grid, np.zeros((grid.nr, grid.nz)), role="dual")
 
+    held = reversed_held = None
+
     def reversed_velocity(tau):
+        # one negated object per snapshot object, so _march can keep its departures
+        nonlocal held, reversed_held
         u = velocity_series.at(T - tau)
-        return VelocityField(grid, -u.u_r, -u.u_z)
+        if u is not held:
+            held, reversed_held = u, VelocityField(grid, -u.u_r, -u.u_z)
+        return reversed_held
 
     source = None
     if chi is not None:

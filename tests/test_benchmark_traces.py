@@ -10,10 +10,11 @@ import importlib.util
 import os
 
 import numpy as np
+import pytest
 
 from axisymlab import evolution, inequalities, lagrangian
 from axisymlab.evolution import TimeStepPlan, make_state
-from axisymlab.grid import ScalarField, build_grid
+from axisymlab.grid import ScalarField, VelocityField, build_grid
 from axisymlab.initial_conditions import gaussian_ring_xi
 
 _TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -67,3 +68,29 @@ def test_tracer_counts_the_conservative_kernel_route():
     metrics = tracing.layer_metrics(tracer.spans, 1)
     for name in ("biot_savart.kernel_pairs", "evolution.step_s"):
         assert metrics[name] > 0, name
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_frozen_transport_samples_its_departures_once(direction):
+    # one departure computation (both velocity components at the midpoints)
+    # and one application per step: a lost reuse or an interpolation that
+    # bypasses the traced binding changes the count
+    tracing = _load_tracer()
+    grid = build_grid(16, 32, 3.0, -3.0, 3.0)
+    r2d, z2d = grid.meshes()
+    u = VelocityField(grid, 0.3 * z2d * np.exp(-r2d**2), 0.2 + 0.0 * r2d)
+    series = lagrangian.VelocitySeries.frozen(u, 0.5)
+    n = 5
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        if direction == "forward":
+            theta0 = ScalarField(grid, np.exp(-((r2d - 1.0) ** 2 + z2d**2)), role="passive_scalar")
+            lagrangian.solve_forward_transport(series, theta0, 0.5, n, nu=1e-2)
+        else:
+            lagrangian.solve_backward_transport(series, lambda t, r, z: np.exp(-r**2 - z**2),
+                                                0.5, n, nu=1e-2)
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer.spans, 1)
+    assert metrics["interpolation.points"] == (n + 2) * grid.nr * grid.nz

@@ -1,8 +1,103 @@
 import numpy as np
 import pytest
 
-from axisymlab.grid import build_grid
-from axisymlab.interpolation import interp_bicubic
+from axisymlab.grid import VelocityField, build_grid
+from axisymlab.interpolation import (
+    StencilPlan,
+    _catmull_rom_weights,
+    _padded,
+    interp_bicubic,
+    sample_velocity,
+)
+
+
+def _reference_bicubic(values, grid, r_query, z_query, axis_symmetry="even", clip=False):
+    """The per-call loop that interp_bicubic ran before stencil plans, kept as the oracle."""
+    rq = np.asarray(r_query, dtype=np.float64)
+    zq = np.asarray(z_query, dtype=np.float64)
+    shape = rq.shape
+    rq = rq.ravel()
+    zq = zq.ravel()
+    sgn = np.where(rq < 0.0, -1.0, 1.0) if axis_symmetry == "odd" else 1.0
+    x = np.clip(np.abs(rq) / grid.hr - 0.5, -0.5, grid.nr - 0.5)
+    y = np.clip((zq - grid.z_min) / grid.hz - 0.5, -0.5, grid.nz - 0.5)
+    i0 = np.floor(x).astype(np.int64)
+    j0 = np.floor(y).astype(np.int64)
+    P = _padded(values, axis_symmetry)
+    wr = _catmull_rom_weights(x - i0)
+    wz = _catmull_rom_weights(y - j0)
+    out = np.zeros(rq.shape)
+    lo = np.full(rq.shape, np.inf)
+    hi = np.full(rq.shape, -np.inf)
+    for a in range(4):
+        acc = np.zeros(rq.shape)
+        for b in range(4):
+            p = P[i0 + 1 + a, j0 + 1 + b]
+            acc += wz[b] * p
+            np.minimum(lo, p, out=lo)
+            np.maximum(hi, p, out=hi)
+        out += wr[a] * acc
+    if clip:
+        out = np.clip(out, lo, hi)
+    return (sgn * out).reshape(shape)
+
+
+def _queries(grid, rng, shape):
+    # across the axis, inside, past every outer side, and on cell centres
+    # (where weights vanish, so signed zeros show)
+    rq = rng.uniform(-0.4 * grid.r_max, 1.3 * grid.r_max, shape)
+    zq = rng.uniform(grid.z_min - 0.3, grid.z_max + 0.3, shape)
+    centres = rng.integers(0, grid.nr, 40), rng.integers(0, grid.nz, 40)
+    rq.flat[:40] = grid.r_centers[centres[0]] * rng.choice([-1.0, 1.0], 40)
+    zq.flat[:40] = grid.z_centers[centres[1]]
+    return rq, zq
+
+
+def _field(grid, rng):
+    # rough data with a block of zeros and of negative zeros
+    values = rng.standard_normal((grid.nr, grid.nz))
+    values[: grid.nr // 2, : grid.nz // 3] = 0.0
+    values[: grid.nr // 3, grid.nz // 3 : grid.nz // 2] = -0.0
+    return values
+
+
+@pytest.mark.parametrize("clip", [False, True])
+@pytest.mark.parametrize("parity", ["even", "odd", "none"])
+@pytest.mark.parametrize("shape", [(500,), (25, 30)])
+def test_plan_matches_the_reference_loop_byte_for_byte(parity, clip, shape):
+    g = build_grid(12, 16, 1.2, -0.8, 0.8)
+    rng = np.random.default_rng(3)
+    values = _field(g, rng)
+    rq, zq = _queries(g, rng, shape)
+    expect = _reference_bicubic(values, g, rq, zq, parity, clip)
+    got = interp_bicubic(values, g, rq, zq, parity, clip)
+    assert got.shape == shape
+    assert got.tobytes() == expect.tobytes()
+    # a plan built once reads any field at its points
+    plan = StencilPlan(g, rq, zq)
+    other = _field(g, rng)[::-1].copy()
+    got = interp_bicubic(other, g, rq, zq, parity, clip, plan=plan)
+    assert got.tobytes() == _reference_bicubic(other, g, rq, zq, parity, clip).tobytes()
+
+
+def test_sample_velocity_shares_one_plan():
+    g = build_grid(12, 16, 1.2, -0.8, 0.8)
+    rng = np.random.default_rng(4)
+    u = VelocityField(g, rng.standard_normal((g.nr, g.nz)), rng.standard_normal((g.nr, g.nz)))
+    rq, zq = _queries(g, rng, (20, 9))
+    ur, uz = sample_velocity(u, rq, zq)
+    assert ur.tobytes() == interp_bicubic(u.u_r, g, rq, zq, "odd").tobytes()
+    assert uz.tobytes() == interp_bicubic(u.u_z, g, rq, zq, "even").tobytes()
+
+
+def test_plan_rejects_other_points_and_grids():
+    g = build_grid(12, 16, 1.2, -0.8, 0.8)
+    rq, zq = _queries(g, np.random.default_rng(5), (30,))
+    plan = StencilPlan(g, rq, zq)
+    with pytest.raises(ValueError, match="plan for points"):
+        interp_bicubic(np.zeros((12, 16)), g, rq[:10], zq[:10], plan=plan)
+    with pytest.raises(ValueError, match="on a plan for"):
+        interp_bicubic(np.zeros((8, 16)), g, rq, zq, plan=plan)
 
 
 def _stencil_range(values, grid, rq, zq, parity):

@@ -1,4 +1,5 @@
 import csv
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from axisymlab import (
     solve_forward_transport,
     trace_flow,
 )
-from axisymlab.evolution import advect_semi_lagrangian
+from axisymlab.evolution import advect_semi_lagrangian, diffuse_relative_vorticity
+from axisymlab.lagrangian import _diffuse_dual, _march
 from axisymlab.test_functions import random_test_functions
 
 
@@ -289,6 +291,53 @@ def test_renorm_residual_rejects_other_test_functions():
         renorm_residual(xis, us, beta, library + random_test_functions(1, 0))
 
 
+def _reference_renorm_residual(xi_series, velocity_series, beta, f):
+    """The per-time loop that renorm_residual ran for one test before, kept as
+    the oracle; also returns the same sum over absolute values, the scale of
+    its round-off."""
+    times = xi_series.times
+    r2d, z2d = xi_series.grid.meshes()
+    w = xi_series.grid.r_col * xi_series.grid.cell_area
+    b, br, bz = f.space.evaluate(r2d, z2d)
+    wt, dwt = f.time_weight(times)
+    out = []
+    for fold in (lambda x: x, np.abs):
+        beta_k = [fold(beta.value(xi.values)) for xi in xi_series.fields]
+        spatial = np.empty(times.size)
+        for k in range(times.size):
+            u = velocity_series.fields[k]
+            integrand = fold(dwt[k] * b) + fold(wt[k]) * (fold(u.u_r * br) + fold(u.u_z * bz))
+            spatial[k] = np.sum(beta_k[k] * integrand * w)
+        total = float(np.sum(0.5 * np.diff(times) * (spatial[1:] + spatial[:-1])))
+        total += float(np.sum(beta_k[0] * fold(wt[0] * b) * w))
+        out.append(abs(total) / f.norm())
+    return out
+
+
+@pytest.mark.parametrize("frozen", [True, False])
+def test_renorm_residual_matches_the_per_test_loop(frozen):
+    # the blocked products sum in another order, so they agree to round-off
+    # of the summed terms; the library's supports cross the grid's outer
+    # boundaries
+    g = build_grid(32, 64, 3.0, -3.0, 3.0)
+    r2d, z2d = g.meshes()
+    u = _swirl(g)
+    # wide enough that beta(xi) is live on most supports
+    theta = ScalarField(g, np.exp(-((r2d - 1.5) ** 2 + z2d**2) / 2.0), role="passive_scalar")
+    xis = solve_forward_transport(VelocitySeries.frozen(u, 1.0), theta, 1.0, 20)
+    velocities = [u if frozen else u.copy() for _ in xis.times]
+    for k, v in enumerate(velocities[1:]):
+        v.u_z += 0.0 if frozen else 0.01 * k
+    us = VelocitySeries(xis.times, velocities)
+    library = renorm_test_library(12, 1.0, rng_seed=5)
+    for beta in built_in_renorm_functions().values():
+        for f in library:
+            expect, scale = _reference_renorm_residual(xis, us, beta, f)
+            assert expect > 0.0
+            assert abs(renorm_residual(xis, us, beta, [f]) - expect) <= 1e-13 * scale
+    assert renorm_residual(xis, us, beta, []) == 0.0
+
+
 def _swirl(g):
     # psi = r^2 exp(-r^2 - z^2): a smooth divergence-free flow with both components
     r2d, z2d = g.meshes()
@@ -320,6 +369,33 @@ def test_backward_transport_is_advection_by_reversed_velocity():
         mid = series.at(0.5 - (0.1 * k + 0.05))
         f = advect_semi_lagrangian(f, VelocityField(g, -mid.u_r, -mid.u_z), 0.1)
         assert np.array_equal(out.fields[4 - k].values, f.values)
+
+
+def test_march_keeps_departures_without_changing_a_value():
+    # a frozen series hands _march one velocity object, so the departure
+    # points are computed once; a velocity that is a fresh copy on every call
+    # makes _march compute them on every step
+    g = build_grid(32, 64, 3.0, -3.0, 3.0)
+    r2d, z2d = g.meshes()
+    u = _swirl(g)
+    series = VelocitySeries.frozen(u, 0.5)
+    nu = 1e-2
+
+    def chi(t, r, z):
+        return (1.0 + t) * np.exp(-((r - 0.7) ** 2 + z**2) / 0.1)
+
+    theta = ScalarField(g, np.exp(-((r2d - 0.9) ** 2 + z2d**2) / 0.1), role="passive_scalar")
+    diffuse = partial(diffuse_relative_vorticity, nu=nu)
+    _, kept = _march(series.at, theta, g, 0.5, 5, diffuse, chi)
+    _, fresh = _march(lambda t: series.at(t).copy(), theta, g, 0.5, 5, diffuse, chi)
+    assert [f.values.tobytes() for f in kept] == [f.values.tobytes() for f in fresh]
+
+    backward = solve_backward_transport(series, chi, 0.5, 5, nu=nu)
+    zero = ScalarField(g, np.zeros((g.nr, g.nz)), role="dual")
+    _, fresh = _march(lambda tau: VelocityField(g, -u.u_r, -u.u_z), zero, g, 0.5, 5,
+                      partial(_diffuse_dual, nu=nu), lambda tau, r, z: chi(0.5 - tau, r, z))
+    assert [f.values.tobytes() for f in backward.fields] == [
+        f.values.tobytes() for f in fresh[::-1]]
 
 
 def test_forward_transport_constant_source():
