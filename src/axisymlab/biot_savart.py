@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import ellipe, ellipkm1
 
 from .grid import HalfPlaneGrid, ScalarField, VelocityField, ddr, ddz
-from .separable import flux_form_radial, solve_separable
+from .separable import apply_separable, flux_form_radial, solve_separable
 
 
 @dataclass
@@ -48,55 +48,14 @@ class StreamFunction(ScalarField):
         super().__init__(grid, values, role="stream")
 
 
-def apply_stream_operator(
-    psi: np.ndarray,
-    grid: HalfPlaneGrid,
-    outer_r: str = "dirichlet",
-    z_bc: str = "dirichlet",
-) -> np.ndarray:
-    """Apply B as defined in the module docstring.
-
-    Radial part in flux form with face weights 1/r_face; the axis face uses
-    the closure flux (1/r) dpsi/dr |_{r=0} ~= 8 psi_0 / hr^2, exact for
-    psi = c r^2.  outer_r and z_bc select homogeneous Dirichlet ghosts
-    (ghost = -value) or zero-flux closures on the truncated boundaries.
-    """
-    nr, nz = grid.nr, grid.nz
-    hr, hz = grid.hr, grid.hz
-    r = grid.r_col
-    r_face = (np.arange(1, nr) * hr)[:, None]
-
-    flux = np.empty((nr + 1, nz))
-    flux[1:nr] = (psi[1:] - psi[:-1]) / (hr * r_face)
-    flux[0] = 8.0 * psi[0] / hr**2
-    if outer_r == "dirichlet":
-        flux[nr] = -2.0 * psi[-1] / (hr * grid.r_max)
-    elif outer_r == "neumann":
-        flux[nr] = 0.0
-    else:
-        raise ValueError(f"unknown outer_r closure {outer_r!r}")
-    out = -r * (flux[1:] - flux[:-1]) / hr
-
-    zflux = np.empty((nr, nz + 1))
-    zflux[:, 1:nz] = (psi[:, 1:] - psi[:, :-1]) / hz
-    if z_bc == "dirichlet":
-        zflux[:, 0] = 2.0 * psi[:, 0] / hz
-        zflux[:, nz] = -2.0 * psi[:, -1] / hz
-    elif z_bc == "neumann":
-        zflux[:, 0] = 0.0
-        zflux[:, nz] = 0.0
-    else:
-        raise ValueError(f"unknown z closure {z_bc!r}")
-    out -= (zflux[:, 1:] - zflux[:, :-1]) / hz
-    return out
-
-
 def stream_operator_radial(grid: HalfPlaneGrid, outer_r: str = "dirichlet"):
     """Tridiagonal coefficients (lower, diag, upper) of the radial part of B.
 
-    The same flux form and closures as apply_stream_operator: face weights
-    1/r_face, the axis closure 8 psi_0 / hr^2, and a homogeneous Dirichlet
-    or zero-flux closure at r_max.
+    Flux form with face weights 1/r_face.  The axis face carries the closure
+    flux (1/r) dpsi/dr |_{r=0} ~= 8 psi_0 / hr^2, exact for psi = c r^2;
+    outer_r selects a homogeneous Dirichlet (ghost = -value) or zero-flux
+    closure at r_max.  With the z closure, these coefficients define B for
+    separable.apply_separable and separable.solve_separable.
     """
     hr = grid.hr
     r = grid.r_centers
@@ -127,9 +86,10 @@ def solve_stream_function(omega: ScalarField, boundary: str = "zero"):
     b = grid.r_col * omega.values
     if boundary == "kernel":
         b = b + _kernel_boundary_rhs(omega)
-    psi = solve_separable(b, stream_operator_radial(grid), grid.hz, "dirichlet")
+    radial = stream_operator_radial(grid)
+    psi = solve_separable(b, radial, grid.hz, "dirichlet")
     bnorm = np.sqrt(np.sum(b * b / grid.r_col))
-    resid = apply_stream_operator(psi, grid) - b
+    resid = apply_separable(psi, radial, grid.hz, "dirichlet") - b
     relres = float(np.sqrt(np.sum(resid * resid / grid.r_col)) / bnorm) if bnorm > 0.0 else 0.0
     return StreamFunction(grid, psi), EllipticSolveReport(0, relres)
 

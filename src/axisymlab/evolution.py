@@ -35,12 +35,7 @@ from functools import partial
 
 import numpy as np
 
-from .biot_savart import (
-    apply_stream_operator,
-    solve_stream_function,
-    stream_operator_radial,
-    velocity_from_stream,
-)
+from .biot_savart import solve_stream_function, stream_operator_radial, velocity_from_stream
 from .exceptions import NonFiniteFieldError, NumericalBlowupError
 from .grid import HalfPlaneGrid, ScalarField, VelocityField, build_grid
 from .interpolation import StencilPlan, interp_bicubic, sample_velocity
@@ -99,8 +94,8 @@ def make_state(
     boundary: str = "zero",
 ) -> FluidState:
     """Assemble a FluidState from raw xi values and solve for its velocity."""
-    if nu < 0.0:
-        raise ValueError(f"viscosity must be nonnegative, got {nu}")
+    if not (0.0 <= nu < np.inf):
+        raise ValueError(f"viscosity must be finite and nonnegative, got {nu}")
     if not isinstance(xi, ScalarField):
         xi = ScalarField(grid, np.asarray(xi, dtype=np.float64), role="relative_vorticity")
     elif xi.role != "relative_vorticity":
@@ -124,30 +119,13 @@ def _xi_volumes(grid: HalfPlaneGrid) -> np.ndarray:
     return (((i + 1.0) ** 4 - i**4) * grid.hr**3 / 4.0)[:, None]
 
 
-def apply_xi_diffusion(values: np.ndarray, grid: HalfPlaneGrid) -> np.ndarray:
-    """(1/r^3) d/dr (r^3 d xi/dr) + d2 xi/dz2 with zero-flux boundaries.
-
-    The r^3 face weight vanishes at the axis, so the axis needs no closure;
-    zero flux on the outer faces makes the cell sum against the r^3 volumes
-    an exact invariant and the operator self-adjoint in that weight.
-    """
-    nr, nz = grid.nr, grid.nz
-    hr, hz = grid.hr, grid.hz
-    face3 = ((np.arange(1, nr) * hr) ** 3)[:, None]
-    vol = _xi_volumes(grid) * hr
-
-    f = np.zeros((nr + 1, nz))
-    f[1:nr] = face3 * (values[1:] - values[:-1]) / hr
-    out = (f[1:] - f[:-1]) / vol
-
-    g = np.zeros((nr, nz + 1))
-    g[:, 1:nz] = (values[:, 1:] - values[:, :-1]) / hz
-    out += (g[:, 1:] - g[:, :-1]) / hz
-    return out
-
-
 def _xi_diffusion_radial(grid: HalfPlaneGrid):
-    """Tridiagonal coefficients of the radial part of -apply_xi_diffusion."""
+    """Tridiagonal coefficients of R xi = -(1/r^3) d/dr (r^3 d xi/dr), in flux form.
+
+    The r^3 face weight vanishes at the axis, so the axis needs no closure.
+    With zero flux on the outer face and in z, the cell sum against the
+    exact r^3 volumes is invariant and the operator self-adjoint in them.
+    """
     hr = grid.hr
     face = np.zeros(grid.nr + 1)
     face[1:-1] = (np.arange(1, grid.nr) * hr) ** 3 / hr
@@ -165,8 +143,7 @@ def diffuse_relative_vorticity(
     zero-flux closures (DCT-II in z).
     """
     grid = xi.grid
-    sol = theta_step(xi.values, lambda v: -apply_xi_diffusion(v, grid),
-                     _xi_diffusion_radial(grid), grid.hz, "neumann", nu, dt, theta)
+    sol = theta_step(xi.values, _xi_diffusion_radial(grid), grid.hz, "neumann", nu, dt, theta)
     return xi.with_values(sol)
 
 
@@ -176,7 +153,7 @@ def diffuse_vorticity(
     """Theta-scheme step for the omega diffusion operator.
 
     The viscous term for omega is d/dr((1/r) d(r omega)/dr) + d2 omega/dz2,
-    applied here as -(1/r) B(r omega) with zero-flux truncation closures so
+    discretized as -(1/r) B(r omega) with zero-flux truncation closures so
     the operator is self-adjoint in the r weight.  The only cell-sum leak of
     omega is the physical one through the axis.  The theta step is taken for
     r omega, whose diffusion operator is -B itself.  At nu = 0 omega comes
@@ -185,10 +162,8 @@ def diffuse_vorticity(
     """
     grid = omega.grid
     r = grid.r_col
-    sol = theta_step(r * omega.values,
-                     lambda v: apply_stream_operator(v, grid, outer_r="neumann", z_bc="neumann"),
-                     stream_operator_radial(grid, outer_r="neumann"), grid.hz, "neumann",
-                     nu, dt, theta)
+    sol = theta_step(r * omega.values, stream_operator_radial(grid, outer_r="neumann"),
+                     grid.hz, "neumann", nu, dt, theta)
     return omega.with_values(sol / r if nu > 0.0 else omega.values.copy())
 
 

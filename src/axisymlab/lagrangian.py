@@ -34,7 +34,7 @@ from functools import partial
 
 import numpy as np
 
-from .biot_savart import apply_stream_operator, stream_operator_radial
+from .biot_savart import stream_operator_radial
 from .evolution import _advective_dt, _departure, _split_step, diffuse_relative_vorticity, run
 from .grid import HalfPlaneGrid, ScalarField, VelocityField
 from .interpolation import interp_bicubic, sample_velocity
@@ -289,35 +289,37 @@ class RenormFunction:
         if self.delta <= 0.0 or self.level <= 0.0 or self.power < 0.0:
             raise ValueError("delta and level must be positive, power nonnegative")
 
-    def _rho(self, x):
+    def _rho(self, x, derivative: bool):
+        """The smoothstep rho(x) and, if asked, rho'(x) (else None)."""
         u = np.clip((x - self.delta) / self.delta, 0.0, 1.0)
         rho = 3.0 * u**2 - 2.0 * u**3
-        drho = (6.0 * u - 6.0 * u**2) / self.delta
-        return rho, drho
+        return rho, ((6.0 * u - 6.0 * u**2) / self.delta if derivative else None)
 
-    def _core(self, x):
+    def _core(self, x, derivative: bool):
+        """The clipped power clip_M(x^power) and, if asked, its x-derivative (else None)."""
         M = self.level
         if self.power == 0.0:
-            return np.full_like(x, M), np.zeros_like(x)
+            return np.full_like(x, M), (np.zeros_like(x) if derivative else None)
         xp = x**self.power
         t = np.tanh(xp / M)
-        core = M * t
+        if not derivative:
+            return M * t, None
         dcore = (1.0 - t**2) * self.power * np.where(x > 0.0, xp / np.where(x > 0.0, x, 1.0), 0.0)
-        return core, dcore
+        return M * t, dcore
 
     def value(self, s):
         s = np.asarray(s, dtype=np.float64)
         x = np.abs(s)
-        rho, _ = self._rho(x)
-        core, _ = self._core(x)
+        rho, _ = self._rho(x, derivative=False)
+        core, _ = self._core(x, derivative=False)
         out = rho * core
         return np.where(s < 0.0, -out, out) if self.odd else out
 
     def derivative(self, s):
         s = np.asarray(s, dtype=np.float64)
         x = np.abs(s)
-        rho, drho = self._rho(x)
-        core, dcore = self._core(x)
+        rho, drho = self._rho(x, derivative=True)
+        core, dcore = self._core(x, derivative=True)
         g = drho * core + rho * dcore
         return g if self.odd else g * np.sign(s)
 
@@ -429,12 +431,11 @@ def _diffuse_dual(f: ScalarField, nu: float, dt: float, theta: float = 0.5) -> S
 
     The dual diffusion operator is the negative of the stream operator with
     homogeneous Dirichlet closures on every boundary; it is self-adjoint in
-    the 1/r-weighted inner product.  The implicit system (1 + c B) f = rhs is
-    solved directly by the separable solver (DST-II in z).
+    the 1/r-weighted inner product.  separable.theta_step takes the step with
+    one direct solve of (1 + theta nu dt B) (DST-II in z).
     """
     grid = f.grid
-    sol = theta_step(f.values, lambda v: apply_stream_operator(v, grid),
-                     stream_operator_radial(grid), grid.hz, "dirichlet", nu, dt, theta)
+    sol = theta_step(f.values, stream_operator_radial(grid), grid.hz, "dirichlet", nu, dt, theta)
     return f.with_values(sol)
 
 

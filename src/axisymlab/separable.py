@@ -8,7 +8,9 @@ and dual diffusions) has the form
 where R is a tridiagonal radial stencil applied alike to every z column and
 T is the cell-centered axial second difference -d2/dz2 with either
 homogeneous Dirichlet (ghost = -value) or zero-flux closures at z_min and
-z_max.  T is diagonalized by the DST-II (Dirichlet) or the DCT-II (zero
+z_max.  The coefficients of R and the z closure are the only definition of
+each operator: apply_separable applies A from them and solve_separable
+inverts it.  T is diagonalized by the DST-II (Dirichlet) or the DCT-II (zero
 flux) along z, with eigenvalues 4 sin^2(pi m / 2 nz) / hz^2; in that basis A
 splits into nz independent tridiagonal systems in r, solved together by one
 Thomas sweep vectorized over the modes.  This is the fast direct method of
@@ -91,18 +93,37 @@ def solve_separable(
     return inverse(x, type=2, axis=1, norm="ortho")
 
 
-def theta_step(values, apply, radial, hz: float, z_bc: str, nu: float, dt: float, theta=0.5):
+def apply_separable(x: np.ndarray, radial, hz: float, z_bc: str) -> np.ndarray:
+    """(R + T) x for x of shape (nr, nz): the operator that solve_separable inverts.
+
+    radial and z_bc are as in solve_separable; the z closures put the ghost
+    value -x (Dirichlet) or x (zero flux) beyond each end.
+    """
+    if z_bc not in ("dirichlet", "neumann"):
+        raise ValueError(f"unknown z closure {z_bc!r}")
+    lower, diag, upper = radial
+    ghost = -1.0 if z_bc == "dirichlet" else 1.0
+    ext = np.concatenate([ghost * x[:, :1], x, ghost * x[:, -1:]], axis=1)
+    out = diag[:, None] * x + (2.0 * x - ext[:, :-2] - ext[:, 2:]) / hz**2
+    out[1:] += lower[1:, None] * x[:-1]
+    out[:-1] += upper[:-1, None] * x[1:]
+    return out
+
+
+def theta_step(values, radial, hz: float, z_bc: str, nu: float, dt: float, theta=0.5):
     """One theta-scheme step of d_t x = -nu A x (nu >= 0), the step of every lab diffusion.
 
-    A = R + T as in solve_separable: apply(x) applies it in flux form and
-    radial holds the coefficients of R.  theta = 0.5 is Crank-Nicolson
-    (second order in dt), theta = 1 backward Euler; nu = 0 returns a copy.
+    A = R + T as in solve_separable, with radial the coefficients of R.  The
+    step (I + theta c A)^-1 (I - (1 - theta) c A) x, c = nu dt, equals
+    (1/theta) (I + theta c A)^-1 x - ((1 - theta)/theta) x, so one solve
+    gives it and A is never applied.  theta = 0.5 is Crank-Nicolson (second
+    order in dt), theta = 1 backward Euler; nu = 0 returns a copy.
     """
-    if dt <= 0.0 or nu < 0.0:
-        raise ValueError(f"need dt > 0 and nu >= 0, got dt = {dt}, nu = {nu}")
+    if not (0.0 < dt < np.inf and 0.0 <= nu < np.inf):
+        raise ValueError(f"need finite dt > 0 and nu >= 0, got dt = {dt}, nu = {nu}")
     if not (0.5 <= theta <= 1.0):
         raise ValueError(f"theta must lie in [0.5, 1], got {theta}")
     if nu == 0.0:
         return values.copy()
-    rhs = values - ((1.0 - theta) * nu * dt) * apply(values)
-    return solve_separable(rhs, radial, hz, z_bc, shift=1.0, scale=theta * nu * dt)
+    sol = solve_separable(values / theta, radial, hz, z_bc, shift=1.0, scale=theta * nu * dt)
+    return sol - ((1.0 - theta) / theta) * values

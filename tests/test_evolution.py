@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from axisymlab.evolution import (
+    _xi_diffusion_radial,
     FluidState,
     TimeStepPlan,
     advect_semi_lagrangian,
-    apply_xi_diffusion,
     cfl_dt,
     diffuse_relative_vorticity,
     diffuse_vorticity,
@@ -25,6 +25,7 @@ from axisymlab.exceptions import NonFiniteFieldError, NumericalBlowupError
 from axisymlab.grid import ScalarField, VelocityField, build_grid
 from axisymlab.initial_conditions import gaussian_ring_xi
 from axisymlab.lagrangian import _diffuse_dual
+from axisymlab.separable import apply_separable
 
 
 def heat_kernel_xi(grid, sigma2):
@@ -74,7 +75,7 @@ def test_xi_diffusion_conserves_r3_mass():
     rng = np.random.default_rng(3)
     xi = ScalarField(g, rng.random((32, 32)), role="relative_vorticity")
     w = g.r_col**3  # proportional to the exact volumes up to O(h^2) per cell
-    lap = apply_xi_diffusion(xi.values, g)
+    lap = -apply_separable(xi.values, _xi_diffusion_radial(g), g.hz, "neumann")
     i = np.arange(g.nr, dtype=np.float64)
     vol = (((i + 1.0) ** 4 - i**4) * g.hr**3 / 4.0)[:, None] * g.hr
     assert abs(np.sum(lap * vol)) < 1e-12 * np.sum(np.abs(xi.values) * vol)
@@ -98,12 +99,13 @@ def test_diffusion_validation(name):
     diffuse, role = _DIFFUSIONS[name]
     g = build_grid(8, 8, 1.0, -1.0, 1.0)
     f = ScalarField(g, np.random.default_rng(0).standard_normal((8, 8)), role=role)
-    with pytest.raises(ValueError):
-        diffuse(f, 0.1, -0.1)
+    # a NaN or infinite nu or dt is bad input, not a non-finite field
+    for nu, dt in ((0.1, -0.1), (0.1, np.nan), (0.1, np.inf), (-0.1, 0.1), (np.nan, 0.1),
+                   (np.inf, 0.1)):
+        with pytest.raises(ValueError, match="need finite dt > 0 and nu >= 0"):
+            diffuse(f, nu, dt)
     with pytest.raises(ValueError):
         diffuse(f, 0.1, 0.1, theta=0.3)
-    with pytest.raises(ValueError):
-        diffuse(f, -0.1, 0.1)
     unchanged = diffuse(f, 0.0, 0.1)
     np.testing.assert_array_equal(unchanged.values, f.values)
 
@@ -430,8 +432,10 @@ def test_step_index_advances():
 
 def test_make_state_validation():
     g = build_grid(8, 8, 1.0, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        make_state(g, np.zeros((8, 8)), -1.0)
+    # a bad viscosity is rejected up front, so a run never starts and fails as a blow-up
+    for nu in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="viscosity must be finite and nonnegative"):
+            make_state(g, np.zeros((8, 8)), nu)
     f = ScalarField(g, np.zeros((8, 8)), role="vorticity")
     with pytest.raises(ValueError):
         make_state(g, f, 0.0)

@@ -1,8 +1,10 @@
 """The separable direct solver against dense linear algebra.
 
-Each implicit operator is assembled column by column from its apply
-function on a small grid, and np.linalg.solve on that dense matrix is the
-oracle for the fast route.
+Each implicit operator is assembled column by column on a small grid from
+apply_separable and its radial coefficients, which apply A directly with no
+z transform and no sweep; np.linalg.solve on that dense matrix is the oracle
+for the fast route.  The coefficients themselves are checked against
+analytic results in test_biot_savart and test_evolution.
 """
 
 import os
@@ -13,19 +15,15 @@ import numpy as np
 import pytest
 
 import axisymlab
-from axisymlab.biot_savart import (
-    apply_stream_operator,
-    solve_stream_function,
-    stream_operator_radial,
-)
-from axisymlab.evolution import apply_xi_diffusion, diffuse_relative_vorticity, diffuse_vorticity
+from axisymlab.biot_savart import solve_stream_function, stream_operator_radial
+from axisymlab.evolution import _xi_diffusion_radial, diffuse_relative_vorticity, diffuse_vorticity
 from axisymlab.grid import ScalarField, build_grid
 from axisymlab.lagrangian import _diffuse_dual
-from axisymlab.separable import solve_separable
+from axisymlab.separable import apply_separable, solve_separable
 
 NR, NZ = 6, 10
 NU, DT = 0.3, 0.2
-THETAS = (0.5, 1.0)  # Crank-Nicolson and backward Euler
+THETAS = (0.5, 0.75, 1.0)  # Crank-Nicolson, a general theta, backward Euler
 
 
 def _grid():
@@ -62,17 +60,19 @@ CASES = [(outer_r, z_bc, shift, scale)
 @pytest.mark.parametrize("outer_r,z_bc,shift,scale", CASES)
 def test_solve_separable_matches_dense_stream_operator(outer_r, z_bc, shift, scale):
     g = _grid()
-    A = _dense(lambda v: shift * v + scale * apply_stream_operator(v, g, outer_r=outer_r, z_bc=z_bc))
+    radial = stream_operator_radial(g, outer_r)
+    A = _dense(lambda v: shift * v + scale * apply_separable(v, radial, g.hz, z_bc))
     b = _rhs(1)
     want = np.linalg.solve(A, b.ravel()).reshape(NR, NZ)
-    got = solve_separable(b, stream_operator_radial(g, outer_r), g.hz, z_bc, shift=shift, scale=scale)
+    got = solve_separable(b, radial, g.hz, z_bc, shift=shift, scale=scale)
     assert _rel(got, want) <= 1e-12
 
 
 def test_stream_solve_matches_dense():
     g = _grid()
     omega = _rhs(2)
-    want = np.linalg.solve(_dense(lambda v: apply_stream_operator(v, g)),
+    radial = stream_operator_radial(g)
+    want = np.linalg.solve(_dense(lambda v: apply_separable(v, radial, g.hz, "dirichlet")),
                            (g.r_col * omega).ravel()).reshape(NR, NZ)
     psi, rep = solve_stream_function(ScalarField(g, omega, role="vorticity"))
     assert _rel(psi.values, want) <= 1e-12
@@ -91,7 +91,8 @@ def _theta_step_oracle(lap, values, theta):
 def test_xi_diffusion_matches_dense(theta):
     g = _grid()
     xi = _rhs(3)
-    want = _theta_step_oracle(lambda v: apply_xi_diffusion(v, g), xi, theta)
+    radial = _xi_diffusion_radial(g)
+    want = _theta_step_oracle(lambda v: -apply_separable(v, radial, g.hz, "neumann"), xi, theta)
     got = diffuse_relative_vorticity(ScalarField(g, xi, role="relative_vorticity"), NU, DT, theta)
     assert _rel(got.values, want) <= 1e-12
 
@@ -101,9 +102,9 @@ def test_omega_diffusion_matches_dense(theta):
     g = _grid()
     r = g.r_col
     omega = _rhs(4)
+    radial = stream_operator_radial(g, "neumann")
     want = _theta_step_oracle(
-        lambda v: -apply_stream_operator(r * v, g, outer_r="neumann", z_bc="neumann") / r, omega,
-        theta)
+        lambda v: -apply_separable(r * v, radial, g.hz, "neumann") / r, omega, theta)
     got = diffuse_vorticity(ScalarField(g, omega, role="vorticity"), NU, DT, theta)
     assert _rel(got.values, want) <= 1e-12
 
@@ -112,7 +113,8 @@ def test_omega_diffusion_matches_dense(theta):
 def test_dual_diffusion_matches_dense(theta):
     g = _grid()
     f = _rhs(5)
-    want = _theta_step_oracle(lambda v: -apply_stream_operator(v, g), f, theta)
+    radial = stream_operator_radial(g)
+    want = _theta_step_oracle(lambda v: -apply_separable(v, radial, g.hz, "dirichlet"), f, theta)
     got = _diffuse_dual(ScalarField(g, f, role="dual"), NU, DT, theta)
     assert _rel(got.values, want) <= 1e-12
 
@@ -121,6 +123,8 @@ def test_solve_separable_rejects_unknown_closure():
     g = _grid()
     with pytest.raises(ValueError):
         solve_separable(_rhs(6), stream_operator_radial(g), g.hz, "periodic")
+    with pytest.raises(ValueError):
+        apply_separable(_rhs(6), stream_operator_radial(g), g.hz, "periodic")
     with pytest.raises(ValueError):
         stream_operator_radial(g, "open")
 
