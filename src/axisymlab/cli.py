@@ -132,8 +132,6 @@ def _cmd_renorm_check(args) -> int:
     if not os.path.exists(config_path):
         raise ConfigError(f"run directory {args.run} has no config.json")
     config = RunConfig.from_dict(load_config_file(config_path))
-    if config.tfinal <= 0.0:
-        raise ConfigError("renorm-check needs a run with tfinal > 0")
     betas = built_in_renorm_functions()
     if args.beta is not None:
         if args.beta not in betas:
@@ -146,7 +144,10 @@ def _cmd_renorm_check(args) -> int:
         raise ConfigError("--tests must be positive")
 
     xi_series, velocity_series = replay_run_series(config)
-    library = renorm_test_library(args.tests, config.tfinal, rng_seed=config.rng_seed)
+    t0 = xi_series.times[0]  # a restarted run starts at its checkpoint's t
+    if config.tfinal <= t0:
+        raise ConfigError(f"renorm-check needs a run that steps past t0 = {t0}")
+    library = renorm_test_library(args.tests, config.tfinal - t0, rng_seed=config.rng_seed)
     residuals = {
         name: renorm_residual(xi_series, velocity_series, beta, library)
         for name, beta in betas.items()

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import jsonschema
 import numpy as np
 
 from .diagnostics import DiagnosticsCollector, write_csv
-from .evolution import TimeStepPlan, make_state, run, write_checkpoint
+from .evolution import TimeStepPlan, make_state, read_checkpoint, run, write_checkpoint
 from .exceptions import ConfigError
 from .grid import build_grid
 from .initial_conditions import make_initial_condition
@@ -59,7 +59,9 @@ CONFIG_SCHEMA = {
         "initial_condition": {
             "type": "object",
             "required": ["kind"],
-            "properties": {"kind": {"type": "string"}},
+            # analytic parameters are numbers, a checkpoint's path a string
+            "properties": {"kind": {"type": "string"}, "path": {"type": "string"}},
+            "additionalProperties": _NUMBER,
         },
         "p_list": {
             "type": "array",
@@ -165,10 +167,31 @@ class RunConfig:
         return build_grid(g["nr"], g["nz"], g["r_max"], g["z_min"], g["z_max"])
 
     def initial_state(self):
-        """The solved starting state of the run and the initial condition's info."""
+        """The solved starting state of the run and the initial condition's info.
+
+        A checkpoint restart keeps the checkpoint's t and step_index (tfinal is
+        absolute) and takes nu from the config; grid, boundary and tfinal must fit.
+        """
         grid = self.build_grid()
-        xi0, ic_info = make_initial_condition(self.initial_condition, grid, monitor_ps=self.p_list)
-        return make_state(grid, xi0, self.nu, boundary=self.boundary), ic_info
+        spec = self.initial_condition
+        if spec["kind"] != "checkpoint":
+            xi0, ic_info = make_initial_condition(spec, grid, monitor_ps=self.p_list)
+            return make_state(grid, xi0, self.nu, boundary=self.boundary), ic_info
+        if set(spec) != {"kind", "path"}:
+            raise ConfigError(f"initial condition 'checkpoint' takes the one key 'path', "
+                              f"got {sorted(spec)}")
+        try:
+            saved = read_checkpoint(spec["path"])
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"checkpoint restart failed: {exc}") from exc
+        fits = {"grid": saved.grid.same_geometry(grid), "boundary": saved.boundary == self.boundary,
+                "tfinal": self.tfinal >= saved.t}
+        bad = next((key for key, ok in fits.items() if not ok), None)
+        if bad is not None:
+            raise ConfigError(f"config key {bad!r} does not match the checkpoint (grid "
+                              f"{saved.grid.nr}x{saved.grid.nz}, boundary {saved.boundary!r}, "
+                              f"t = {saved.t} <= tfinal)")
+        return replace(saved, nu=float(self.nu)), {"restart_t": saved.t, "restart_nu": saved.nu}
 
 
 def _canonical_json(doc) -> str:

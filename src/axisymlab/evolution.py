@@ -373,8 +373,8 @@ class TimeStepPlan:
     blowup_limit: float = 1e6
 
     def validated(self) -> "TimeStepPlan":
-        if self.dt is not None and not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if self.dt is not None and not (0.0 < self.dt < np.inf):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.dt_max is not None and self.dt_max <= 0.0:
             raise ValueError(f"dt_max must be positive, got {self.dt_max}")
         if self.scheme not in ("xi_semilagrangian", "omega_conservative"):
@@ -465,6 +465,7 @@ def write_checkpoint(state: FluidState, path: str) -> None:
         "z_min": grid.z_min,
         "z_max": grid.z_max,
         "t": state.t,
+        "step_index": state.step_index,
         "nu": state.nu,
         "boundary": state.boundary,
         "fields": ["xi"],
@@ -474,14 +475,14 @@ def write_checkpoint(state: FluidState, path: str) -> None:
         f.write(np.ascontiguousarray(state.xi.values, dtype="<f8").tobytes())
 
 
-def _read_checkpoint_field(path: str):
-    """The xi field and header of a checkpoint written by write_checkpoint.
+def read_checkpoint(path: str) -> FluidState:
+    """Load a checkpoint written by write_checkpoint as a solved state, without history.
 
-    Returns (xi, t, nu, boundary); files written before the boundary field
-    existed get "zero".  nr and nz must be JSON integers and the other
-    numeric fields JSON numbers (not strings or booleans); a header field
-    that is missing, malformed, not finite, or (for t and nu) negative raises
-    ValueError naming it.
+    The state keeps the header's t, step_index, nu and boundary; older files
+    without boundary or step_index get "zero" or 0.  nr, nz and step_index
+    must be JSON integers and the other numeric fields JSON numbers; a header
+    field that is missing, malformed, not finite, or (for t, nu and
+    step_index) negative raises ValueError naming it.
     """
     with open(path, "rb") as f:
         header_line = f.readline()
@@ -496,6 +497,7 @@ def _read_checkpoint_field(path: str):
         raise ValueError(f"bad checkpoint magic in {path}: {header.get('magic')!r}")
     if header.get("fields") != ["xi"]:
         raise ValueError(f"unsupported checkpoint fields {header.get('fields')!r}")
+    header.setdefault("step_index", 0)
 
     def number(key, kind=float, low=-np.inf):
         value = header.get(key)
@@ -515,11 +517,7 @@ def _read_checkpoint_field(path: str):
             f"checkpoint payload is {len(payload)} bytes, expected {expected}"
         )
     values = np.frombuffer(payload, dtype="<f8").reshape(grid.nr, grid.nz).copy()
-    xi = ScalarField(grid, values, role="relative_vorticity")
-    return xi, number("t", low=0.0), number("nu", low=0.0), header.get("boundary", "zero")
-
-
-def read_checkpoint(path: str) -> FluidState:
-    """Load a checkpoint written by write_checkpoint as a solved state."""
-    xi, t, nu, boundary = _read_checkpoint_field(path)
-    return make_state(xi.grid, xi, nu, t=t, boundary=boundary)
+    step_index = number("step_index", int, low=0)
+    state = make_state(grid, values, number("nu", low=0.0), t=number("t", low=0.0),
+                       boundary=header.get("boundary", "zero"))
+    return replace(state, step_index=step_index)

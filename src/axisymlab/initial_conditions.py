@@ -1,7 +1,7 @@
 """Built-in initial conditions and the analytic spherical-vortex oracle.
 
 Initial data is always the relative vorticity xi = omega / r sampled at cell
-centers.  Three analytic families plus checkpoint restart:
+centers.  Three analytic families:
 
 - gaussian_ring: xi = A exp(-((r-r0)^2 + (z-z0)^2) / (2 sigma^2)), smooth,
   nonnegative for A >= 0, finite impulse;
@@ -12,18 +12,17 @@ centers.  Three analytic families plus checkpoint restart:
   dist is the distance to the ring point (r0, z0); dist is floored at the
   cell diagonal so the sample stays finite, and the floor is recorded.
   Admissible only when alpha < 3/p for every finite monitored exponent p
-  (the membership rule used throughout);
-- checkpoint: restart from an AXF1 file (grid must match).
+  (the membership rule used throughout).
 
 make_initial_condition dispatches on a plain dict {"kind": ..., params...}
-so the config layer can hand specs through unchanged.
+so the config layer can hand specs through unchanged; a restart from a
+checkpoint is not initial data and is built by the config layer.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .evolution import _read_checkpoint_field
 from .exceptions import ConfigError
 from .grid import HalfPlaneGrid, ScalarField, VelocityField
 
@@ -31,7 +30,6 @@ _REQUIRED_PARAMS = {
     "gaussian_ring": {"r0", "z0", "sigma", "amplitude"},
     "hill_vortex": {"radius", "amplitude"},
     "singular_ring": {"r0", "z0", "alpha", "cutoff", "amplitude"},
-    "checkpoint": {"path"},
 }
 
 
@@ -116,35 +114,11 @@ def make_initial_condition(spec: dict, grid: HalfPlaneGrid, monitor_ps=()):
     if extra:
         raise ConfigError(f"initial condition {kind!r} has unknown key {sorted(extra)[0]!r}")
 
-    if kind == "gaussian_ring":
-        field = gaussian_ring_xi(grid, spec["r0"], spec["z0"], spec["sigma"], spec["amplitude"])
-        info = {}
-    elif kind == "hill_vortex":
-        field = hill_vortex_xi(grid, spec["radius"], spec["amplitude"])
-        info = {}
-    elif kind == "singular_ring":
-        field, info = singular_ring_xi(
-            grid,
-            spec["r0"],
-            spec["z0"],
-            spec["alpha"],
-            spec["cutoff"],
-            spec["amplitude"],
-            monitor_ps=monitor_ps,
-        )
-    else:  # checkpoint restart
-        try:
-            field, t, nu, _ = _read_checkpoint_field(spec["path"])
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"checkpoint restart failed: {exc}") from exc
-        if not field.grid.same_geometry(grid):
-            raise ConfigError(
-                "checkpoint grid "
-                f"({field.grid.nr}x{field.grid.nz}) does not match configured grid "
-                f"({grid.nr}x{grid.nz})"
-            )
-        info = {"restart_t": t, "restart_nu": nu}
-    return field, info
+    params = {key: spec[key] for key in given}
+    if kind == "singular_ring":
+        return singular_ring_xi(grid, **params, monitor_ps=monitor_ps)
+    builder = gaussian_ring_xi if kind == "gaussian_ring" else hill_vortex_xi
+    return builder(grid, **params), {}
 
 
 # ---------------------------------------------------------------------------

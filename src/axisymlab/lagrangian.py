@@ -362,7 +362,8 @@ def renorm_residual(
     """Weak-form renormalization residual, maximized over a test library.
 
     For each space-time test function f supported in [0, T) x H, a
-    SpaceTimeBump (any other type raises ValueError):
+    SpaceTimeBump (any other type raises ValueError), with time measured
+    from the first snapshot (a restarted run's series starts at t0 > 0):
 
         R(f) = int_0^T int beta(xi)(f_t + u^r f_r + u^z f_z) r d(r,z) dt
              + int beta(xi(0)) f(0) r d(r,z),
@@ -385,7 +386,7 @@ def renorm_residual(
     boxes = [_support_cells(grid, f.space) for f in tests]
     parts = [np.stack(f.space.evaluate(r2d[box], z2d[box])).reshape(3, -1, 1)
              for f, box in zip(tests, boxes)]
-    wt, dwt = np.moveaxis(np.reshape([f.time_weight(times) for f in tests],
+    wt, dwt = np.moveaxis(np.reshape([f.time_weight(times - times[0]) for f in tests],
                                      (len(tests), 2, times.size)), 0, -1)
 
     # int beta(xi_k) (b, u_r b_r, u_z b_z) r d(r,z) for every time k and test,

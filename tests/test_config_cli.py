@@ -15,12 +15,16 @@ from axisymlab import (
     RunConfig,
     build_grid,
     cli_main,
+    gaussian_ring_xi,
     load_config_file,
     make_initial_condition,
+    make_state,
+    read_checkpoint,
     run_from_config,
     signed_moment_experiment,
     sweep,
     validate_config_dict,
+    write_checkpoint,
 )
 
 
@@ -243,23 +247,84 @@ def test_singular_ring_gate_through_config(tmp_path):
 
 
 def test_checkpoint_restart_through_config(tmp_path):
+    # a restart keeps the checkpoint's clock, so tfinal is absolute: restarting
+    # with tfinal at the checkpoint's t = 0.04 takes no step; nu comes from the
+    # config, as a sweep started from a checkpoint needs
     first = tmp_path / "first"
     final, _ = run_from_config(base_doc(), str(first))
     restart_doc = base_doc(
         initial_condition={"kind": "checkpoint", "path": str(first / "checkpoint_final.axf1")},
-        tfinal=0.0,
+        nu=5e-3,
     )
-    state, _ = run_from_config(restart_doc, str(tmp_path / "second"))
+    state, records = run_from_config(restart_doc, str(tmp_path / "second"))
     assert np.array_equal(state.xi.values, final.xi.values)
+    assert state.t == final.t == pytest.approx(0.04) and state.step_index == 2
+    assert len(records) == 1 and records[0].t == final.t
+    assert state.nu == records[0].nu == 5e-3
     manifest = json.loads((tmp_path / "second" / "manifest.json").read_text())
-    assert manifest["ic_info"]["restart_t"] == pytest.approx(0.04)
+    assert manifest["ic_info"] == {"restart_t": final.t, "restart_nu": 1e-3}
     mismatched = base_doc(
         grid={"nr": 16, "nz": 32, "r_max": 3.0, "z_min": -3.0, "z_max": 3.0},
         initial_condition={"kind": "checkpoint", "path": str(first / "checkpoint_final.axf1")},
-        tfinal=0.0,
     )
     with pytest.raises(ConfigError, match="does not match"):
         run_from_config(mismatched, str(tmp_path / "third"))
+
+
+@pytest.mark.parametrize("key,overrides", [
+    # the checkpoint holds kernel boundary data, which a config without
+    # 'boundary' would silently replace by zero boundary data
+    pytest.param("boundary", {}, id="boundary"),
+    pytest.param("grid", {"boundary": "kernel", "grid": {"nr": 16, "nz": 32, "r_max": 3.0,
+                                                         "z_min": -3.0, "z_max": 3.0}}, id="grid"),
+    pytest.param("tfinal", {"boundary": "kernel", "tfinal": 0.02}, id="tfinal"),
+])
+def test_checkpoint_restart_mismatch_exits_1(tmp_path, capsys, key, overrides):
+    g = build_grid(24, 48, 3.0, -3.0, 3.0)
+    ckpt = str(tmp_path / "kernel.axf1")
+    write_checkpoint(make_state(g, gaussian_ring_xi(g, 1.0, 0.0, 0.3, 1.0), 1e-3, t=0.04,
+                                boundary="kernel"), ckpt)
+    doc = base_doc(initial_condition={"kind": "checkpoint", "path": ckpt}, **overrides)
+    out = str(tmp_path / "o")
+    assert cli_main(["run", "--config", write_config(tmp_path, doc), "--out", out]) == 1
+    assert f"config key {key!r}" in capsys.readouterr().err
+
+
+def _split_run(tmp_path, scheme):
+    """An uninterrupted 20-step run and its restart from step 10, as (whole, restart) dirs."""
+    doc = base_doc(grid={"nr": 32, "nz": 64, "r_max": 3.0, "z_min": -3.0, "z_max": 3.0},
+                   nu=1e-2, dt=0.01, tfinal=0.2, checkpoint_every=10, scheme=scheme)
+    whole, restart = tmp_path / "whole", tmp_path / "restart"
+    run_from_config(doc, str(whole))
+    ckpt = {"kind": "checkpoint", "path": str(whole / "checkpoint_000010.axf1")}
+    run_from_config(dict(doc, initial_condition=ckpt), str(restart))
+    return whole, restart
+
+
+def test_split_run_reproduces_the_uninterrupted_run(tmp_path):
+    # the conservative route keeps no velocity history, so a restart from a
+    # checkpoint takes exactly the uninterrupted run's steps
+    whole, restart = _split_run(tmp_path, "omega_conservative")
+    for name in ("checkpoint_000020.axf1", "checkpoint_final.axf1"):
+        assert (restart / name).read_bytes() == (whole / name).read_bytes()
+    with open(whole / "diagnostics.csv", encoding="utf-8") as f:
+        whole_rows = list(csv.DictReader(f))
+    with open(restart / "diagnostics.csv", encoding="utf-8") as f:
+        restart_rows = list(csv.DictReader(f))
+    assert len(restart_rows) == 11 and float(restart_rows[0]["t"]) == pytest.approx(0.1)
+    # energy_deficit is measured from each run's first state
+    for a, b in zip(whole_rows[10:], restart_rows, strict=True):
+        del a["energy_deficit"], b["energy_deficit"]
+        assert a == b
+
+
+def test_split_run_xi_route_close_to_the_uninterrupted_run(tmp_path):
+    # AXF1 holds no velocity history, so the restart's first step advects
+    # with the start-of-step velocity instead of the midpoint extrapolation
+    whole, restart = _split_run(tmp_path, "xi_semilagrangian")
+    a = read_checkpoint(str(whole / "checkpoint_final.axf1")).xi.values
+    b = read_checkpoint(str(restart / "checkpoint_final.axf1")).xi.values
+    assert np.max(np.abs(a - b)) <= 1e-5 * np.max(np.abs(a))
 
 
 def test_cli_run_and_diag(tmp_path, capsys):
@@ -307,6 +372,20 @@ _BAD_HEADERS = {
     "nr-string": dict(_HEADER, nr="24"),
     "nu-string": dict(_HEADER, nu="0.001"),
     "t-negative": dict(_HEADER, t=-5.0),
+    "step_index-negative": dict(_HEADER, step_index=-1),
+    "step_index-fraction": dict(_HEADER, step_index=2.5),
+    "step_index-string": dict(_HEADER, step_index="2"),
+}
+_RING = base_doc()["initial_condition"]
+_BAD_ICS = {
+    "r0-string": dict(_RING, r0="1.0"),
+    "sigma-string": dict(_RING, sigma="0.3"),
+    "amplitude-null": dict(_RING, amplitude=None),
+    "amplitude-bool": dict(_RING, amplitude=True),
+    "alpha-list": {"kind": "singular_ring", "r0": 1.0, "z0": 0.0, "alpha": [1.0],
+                   "cutoff": 0.5, "amplitude": 1.0},
+    "path-int": {"kind": "checkpoint", "path": 7},
+    "step-unknown": {"kind": "checkpoint", "path": "x.axf1", "step": 3},
 }
 _NAN_OVERRIDES = {
     "dt": {"dt": float("nan")},
@@ -321,8 +400,10 @@ def _bad_input_argv(tmp_path, case):
         path = tmp_path / "config.json"
         path.write_bytes(b"\xff" + json.dumps(base_doc()).encode("utf-8"))
         return ["run", "--config", str(path), "--out", str(tmp_path / "o")]
-    if case.startswith("config-nan-"):
-        doc = base_doc(**_NAN_OVERRIDES[case[len("config-nan-"):]])
+    if case.startswith(("config-nan-", "config-ic-")):
+        kind, name = case[len("config-"):].split("-", 1)
+        overrides = _NAN_OVERRIDES[name] if kind == "nan" else {"initial_condition": _BAD_ICS[name]}
+        doc = base_doc(**overrides)
         return ["run", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]
     if case.startswith("ball-radius"):
         radius = "-1" if case.endswith("negative") else "10"
@@ -341,12 +422,16 @@ def _bad_input_argv(tmp_path, case):
 
 @pytest.mark.parametrize("case", [
     "config-not-utf8", "config-nan-dt", "config-nan-amplitude",
+    *(f"config-ic-{name}" for name in _BAD_ICS),
     *(f"{route}-{header}" for route in ("diag", "restart") for header in _BAD_HEADERS),
     "ball-radius-negative", "ball-radius-too-large",
 ])
 def test_cli_bad_outside_input_exits_1(tmp_path, capsys, case):
     assert cli_main(_bad_input_argv(tmp_path, case)) == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if case.startswith("config-ic-"):  # the message names the offending key
+        assert case.split("-")[2] in err
 
 
 @pytest.mark.parametrize("key,value", [("stream_tol", 1e-10), ("diffusion_tol", 1e-12),
@@ -419,6 +504,34 @@ def test_cli_renorm_check(tmp_path, capsys):
     assert cli_main(["run", "--config", frozen_cfg, "--out", frozen_dir]) == 0
     assert cli_main(["renorm-check", "--run", frozen_dir]) == 1
     capsys.readouterr()
+
+
+def test_cli_renorm_check_on_a_restart(tmp_path, capsys):
+    # the weak form of a restarted run is posed on its replayed interval
+    # [t0, tfinal], with time measured from t0: its residual is that of the
+    # same trajectory restarted at t = 0
+    first = tmp_path / "first"
+    run_from_config(base_doc(checkpoint_every=1), str(first))
+    ckpt = first / "checkpoint_000001.axf1"  # t = 0.02
+    header, payload = ckpt.read_bytes().split(b"\n", 1)
+    at_zero = tmp_path / "at_zero.axf1"
+    at_zero.write_bytes(json.dumps(dict(json.loads(header), t=0.0, step_index=0)).encode()
+                        + b"\n" + payload)
+    residuals = []
+    for name, path, tfinal in (("late", ckpt, 0.06), ("early", at_zero, 0.04)):
+        doc = base_doc(tfinal=tfinal, initial_condition={"kind": "checkpoint", "path": str(path)})
+        run_dir = str(tmp_path / name)
+        assert cli_main(["run", "--config", write_config(tmp_path, doc), "--out", run_dir]) == 0
+        capsys.readouterr()
+        assert cli_main(["renorm-check", "--run", run_dir, "--beta", "cubic_odd"]) == 0
+        residuals.append(json.loads(capsys.readouterr().out)["residuals"]["cubic_odd"])
+    assert residuals[0] > 0.0 and residuals[0] == pytest.approx(residuals[1], rel=1e-9)
+    # a replay that takes no step is rejected, as tfinal = 0 is for a fresh run
+    doc = base_doc(tfinal=0.02, initial_condition={"kind": "checkpoint", "path": str(ckpt)})
+    run_dir = str(tmp_path / "still")
+    assert cli_main(["run", "--config", write_config(tmp_path, doc), "--out", run_dir]) == 0
+    assert cli_main(["renorm-check", "--run", run_dir]) == 1
+    assert "steps past t0" in capsys.readouterr().err
 
 
 def sweep_doc():

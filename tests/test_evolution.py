@@ -1,5 +1,7 @@
+import json
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,6 +337,14 @@ def test_plan_rejects_nan_dt():
         TimeStepPlan(dt=float("nan")).validated()
 
 
+def test_plan_rejects_infinite_dt():
+    # an infinite step would otherwise take the run to t_final in one silent step
+    g = build_grid(16, 16, 2.0, -1.0, 1.0)
+    st = make_state(g, np.zeros((16, 16)), 0.0)
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        run(st, 0.5, TimeStepPlan(dt=np.inf))
+
+
 def test_step_requires_dt():
     # both steppers reject a step length dt <= 0 and a weight theta outside
     # [0.5, 1], at nu = 0 too
@@ -454,7 +464,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     # writing the same state twice produces identical bytes
     path2 = os.path.join(tmp_path, "state2.axf1")
     write_checkpoint(st, path2)
-    assert open(path, "rb").read() == open(path2, "rb").read()
+    assert Path(path).read_bytes() == Path(path2).read_bytes()
 
 
 def test_checkpoint_error_cases(tmp_path):
@@ -463,22 +473,38 @@ def test_checkpoint_error_cases(tmp_path):
     path = os.path.join(tmp_path, "x.axf1")
     write_checkpoint(st, path)
 
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     bad_magic = blob.replace(b"AXF1", b"AXF9", 1)
     p1 = os.path.join(tmp_path, "bad_magic.axf1")
-    open(p1, "wb").write(bad_magic)
+    Path(p1).write_bytes(bad_magic)
     with pytest.raises(ValueError):
         read_checkpoint(p1)
 
     p2 = os.path.join(tmp_path, "truncated.axf1")
-    open(p2, "wb").write(blob[:-16])
+    Path(p2).write_bytes(blob[:-16])
     with pytest.raises(ValueError):
         read_checkpoint(p2)
 
     p3 = os.path.join(tmp_path, "garbage.axf1")
-    open(p3, "wb").write(b"\x00\x01\x02nonsense\n" + blob)
+    Path(p3).write_bytes(b"\x00\x01\x02nonsense\n" + blob)
     with pytest.raises(ValueError):
         read_checkpoint(p3)
+
+
+def test_checkpoint_keeps_the_step_index(tmp_path):
+    # the header carries step_index; a header without it, as files written
+    # before the field existed, restores step 0 at its own t
+    g = build_grid(8, 8, 1.0, -1.0, 1.0)
+    st = replace(make_state(g, np.ones((8, 8)), 1e-3, t=0.3), step_index=7)
+    path = tmp_path / "st.axf1"
+    write_checkpoint(st, str(path))
+    assert read_checkpoint(str(path)).step_index == 7
+    header, payload = path.read_bytes().split(b"\n", 1)
+    old = {k: v for k, v in json.loads(header).items() if k != "step_index"}
+    path.write_bytes(json.dumps(old).encode() + b"\n" + payload)
+    back = read_checkpoint(str(path))
+    assert back.step_index == 0 and back.t == 0.3
+    assert np.array_equal(back.xi.values, st.xi.values)
 
 
 def test_state_keeps_its_boundary():
