@@ -31,7 +31,7 @@ from .diagnostics import DiagnosticsCollector, write_csv
 from .evolution import TimeStepPlan, make_state, read_checkpoint, run, write_checkpoint
 from .exceptions import ConfigError
 from .grid import build_grid
-from .initial_conditions import make_initial_condition
+from .initial_conditions import _spec_params, make_initial_condition
 
 _NUMBER = {"type": "number"}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
@@ -177,11 +177,8 @@ class RunConfig:
         if spec["kind"] != "checkpoint":
             xi0, ic_info = make_initial_condition(spec, grid, monitor_ps=self.p_list)
             return make_state(grid, xi0, self.nu, boundary=self.boundary), ic_info
-        if set(spec) != {"kind", "path"}:
-            raise ConfigError(f"initial condition 'checkpoint' takes the one key 'path', "
-                              f"got {sorted(spec)}")
         try:
-            saved = read_checkpoint(spec["path"])
+            saved = read_checkpoint(_spec_params(spec, {"path"})["path"])
         except (OSError, ValueError) as exc:
             raise ConfigError(f"checkpoint restart failed: {exc}") from exc
         fits = {"grid": saved.grid.same_geometry(grid), "boundary": saved.boundary == self.boundary,
@@ -221,11 +218,10 @@ def run_from_config(config, out_dir: str, extra_hook=None):
 
     def hook(s, k):
         # checkpoint_every counts sampling events, not raw steps, so the two
-        # cadences compose; 0 disables periodic checkpoints.  The collector
-        # holds the initial record and one per earlier sampled step, so
-        # len(collector.records) numbers this sampling event from 1
+        # cadences compose; 0 disables periodic checkpoints.  The event number
+        # ceil(step_index / sample_every) follows the global step across restarts
         if config.checkpoint_every and k > 0:
-            if len(collector.records) % config.checkpoint_every == 0:
+            if -(-s.step_index // config.plan.sample_every) % config.checkpoint_every == 0:
                 name = f"checkpoint_{s.step_index:06d}.axf1"
                 write_checkpoint(s, os.path.join(out_dir, name))
                 checkpoints.append(name)

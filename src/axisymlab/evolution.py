@@ -398,8 +398,9 @@ def run(
 ):
     """Advance a state to t_final.
 
-    sample_hook(state, step_index) is invoked on the initial state, every
-    sample_every accepted steps, and on the final state; non-None returns
+    sample_hook(state, step) is invoked on the initial state, on each state
+    whose step_index is a multiple of sample_every (a restart keeps the
+    uninterrupted run's cadence) and on the final state; non-None returns
     are collected and handed back (and attached to NumericalBlowupError if
     the run dies, so partial diagnostics survive).
     """
@@ -443,7 +444,7 @@ def run(
                 records=records,
             )
         at_end = state.t >= t_final - 1e-12 * max(1.0, abs(t_final))
-        if sample_hook is not None and (step % plan.sample_every == 0 or at_end):
+        if sample_hook is not None and (state.step_index % plan.sample_every == 0 or at_end):
             out = sample_hook(state, step)
             if out is not None:
                 records.append(out)
@@ -513,9 +514,7 @@ def read_checkpoint(path: str) -> FluidState:
     )
     expected = grid.nr * grid.nz * 8
     if len(payload) != expected:
-        raise ValueError(
-            f"checkpoint payload is {len(payload)} bytes, expected {expected}"
-        )
+        raise ValueError(f"checkpoint payload is {len(payload)} bytes, expected {expected}")
     values = np.frombuffer(payload, dtype="<f8").reshape(grid.nr, grid.nz).copy()
     step_index = number("step_index", int, low=0)
     state = make_state(grid, values, number("nu", low=0.0), t=number("t", low=0.0),

@@ -90,6 +90,19 @@ def singular_ring_xi(
     return field, {"distance_floor": floor, "cutoff": cutoff, "alpha": alpha}
 
 
+def _spec_params(spec: dict, required: set) -> dict:
+    """A spec's parameters, whose keys besides 'kind' must be exactly `required`."""
+    kind = spec["kind"]
+    given = set(spec) - {"kind"}
+    missing = required - given
+    extra = given - required
+    if missing:
+        raise ConfigError(f"initial condition {kind!r} missing key {sorted(missing)[0]!r}")
+    if extra:
+        raise ConfigError(f"initial condition {kind!r} has unknown key {sorted(extra)[0]!r}")
+    return {key: spec[key] for key in given}
+
+
 def make_initial_condition(spec: dict, grid: HalfPlaneGrid, monitor_ps=()):
     """Build the initial relative vorticity from a spec dict.
 
@@ -105,16 +118,7 @@ def make_initial_condition(spec: dict, grid: HalfPlaneGrid, monitor_ps=()):
             f"unknown initial condition kind {kind!r}; expected one of "
             f"{sorted(_REQUIRED_PARAMS)}"
         )
-    required = _REQUIRED_PARAMS[kind]
-    given = set(spec) - {"kind"}
-    missing = required - given
-    extra = given - required
-    if missing:
-        raise ConfigError(f"initial condition {kind!r} missing key {sorted(missing)[0]!r}")
-    if extra:
-        raise ConfigError(f"initial condition {kind!r} has unknown key {sorted(extra)[0]!r}")
-
-    params = {key: spec[key] for key in given}
+    params = _spec_params(spec, _REQUIRED_PARAMS[kind])
     if kind == "singular_ring":
         return singular_ring_xi(grid, **params, monitor_ps=monitor_ps)
     builder = gaussian_ring_xi if kind == "gaussian_ring" else hill_vortex_xi

@@ -9,7 +9,8 @@ depend on nu).  The sweep then reports
   strong L^2_loc compactness -- no limit is claimed);
 - the energy-deficit table (nu, t, deficit) with a log-log fit of deficit
   against nu at the final time, and the smallest constant C making
-  deficit <= C (nu t)^{1 - 3/(2p)} hold across the whole table;
+  deficit <= C (nu (t - t0))^{1 - 3/(2p)} hold across the table, t0 being
+  the run's start (a restart's checkpoint t), whence each deficit is measured;
 - an optional signed-vorticity moment experiment measuring (never
   asserting) whether ||r^2 omega(t)||_{L^1} stays controlled by its initial
   value when xi changes sign.
@@ -41,7 +42,7 @@ class SweepResult:
     deficit_exponent: float       # slope of log deficit vs log nu at t_final
     deficit_fit_residual: float
     bound_p: float
-    bound_constant: float         # sup of deficit / (nu t)^{1 - 3/(2p)}
+    bound_constant: float         # sup of deficit / (nu (t - t0))^{1 - 3/(2p)}
 
     def summary_dict(self) -> dict:
         return {
@@ -140,10 +141,11 @@ def sweep(
             deficit_table.append((nu, rec.t, rec.energy_deficit))
 
     exponent, residual = _fit_deficit_exponent(all_records, nus)
-    bound_constant = _deficit_bound_constant(deficit_table, bound_p)
     # members share dt, tfinal and sample_every, and run's step lengths do not
     # read nu, so the first member's sample times are every member's
     sample_times = [rec.t for rec in all_records.get(nus[0], [])]
+    t0 = sample_times[0] if sample_times else 0.0
+    bound_constant = _deficit_bound_constant(deficit_table, bound_p, t0)
 
     result = SweepResult(
         nus=nus,
@@ -187,14 +189,14 @@ def _fit_deficit_exponent(all_records, nus):
     return float(coef[0]), residual
 
 
-def _deficit_bound_constant(deficit_table, p: float) -> float:
-    """Smallest C with deficit <= C (nu t)^{1 - 3/(2p)} across the table."""
+def _deficit_bound_constant(deficit_table, p: float, t0: float) -> float:
+    """Smallest C with deficit <= C (nu (t - t0))^{1 - 3/(2p)} across the table."""
     e = 1.0 - 3.0 / (2.0 * p)
     best = 0.0
     for nu, t, d in deficit_table:
-        if t <= 0.0 or d <= 0.0:
+        if t <= t0 or d <= 0.0:
             continue
-        best = max(best, d / (nu * t) ** e)
+        best = max(best, d / (nu * (t - t0)) ** e)
     return best
 
 

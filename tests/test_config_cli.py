@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -327,6 +328,32 @@ def test_split_run_xi_route_close_to_the_uninterrupted_run(tmp_path):
     assert np.max(np.abs(a - b)) <= 1e-5 * np.max(np.abs(a))
 
 
+def test_restart_off_the_cadence_keeps_the_schedule(tmp_path):
+    # samples every 2 steps and checkpoints every 2 samples follow the global
+    # step, so a restart from a final state at step 7, off both cadences,
+    # rejoins the uninterrupted run's schedule at step 8
+    doc = base_doc(grid={"nr": 16, "nz": 32, "r_max": 3.0, "z_min": -3.0, "z_max": 3.0},
+                   nu=1e-2, dt=0.01, tfinal=0.2, sample_every=2, checkpoint_every=2,
+                   scheme="omega_conservative")
+    whole, short, restart = tmp_path / "whole", tmp_path / "short", tmp_path / "restart"
+    run_from_config(doc, str(whole))
+    run_from_config(dict(doc, tfinal=0.07), str(short))
+    ckpt = {"kind": "checkpoint", "path": str(short / "checkpoint_final.axf1")}
+    run_from_config(dict(doc, initial_condition=ckpt), str(restart))
+    names = json.loads((restart / "manifest.json").read_text())["checkpoints"]
+    assert names == [f"checkpoint_{k:06d}.axf1" for k in (8, 12, 16, 20)] + ["checkpoint_final.axf1"]
+    for name in names:
+        assert (restart / name).read_bytes() == (whole / name).read_bytes()
+    with open(whole / "diagnostics.csv", encoding="utf-8") as f:
+        whole_rows = list(csv.DictReader(f))
+    with open(restart / "diagnostics.csv", encoding="utf-8") as f:
+        restart_rows = list(csv.DictReader(f))
+    assert float(restart_rows[0]["t"]) == pytest.approx(0.07)
+    for a, b in zip(whole_rows[4:], restart_rows[1:], strict=True):
+        del a["energy_deficit"], b["energy_deficit"]
+        assert a == b
+
+
 def test_cli_run_and_diag(tmp_path, capsys):
     config = write_config(tmp_path, base_doc())
     out = str(tmp_path / "run")
@@ -386,6 +413,7 @@ _BAD_ICS = {
                    "cutoff": 0.5, "amplitude": 1.0},
     "path-int": {"kind": "checkpoint", "path": 7},
     "step-unknown": {"kind": "checkpoint", "path": "x.axf1", "step": 3},
+    "path-missing": {"kind": "checkpoint"},
 }
 _NAN_OVERRIDES = {
     "dt": {"dt": float("nan")},
@@ -556,6 +584,29 @@ def test_sweep_aggregation(tmp_path):
     assert sorted(os.listdir(tmp_path / "sweep")) == [
         "nu_0.00125", "nu_0.0025", "nu_0.005", "nu_0.01", "sweep_summary.json",
     ]
+
+
+def test_sweep_from_a_checkpoint_measures_time_from_the_restart(tmp_path):
+    # each member's deficit is measured from the restarted state, so the bound
+    # divides by nu (t - t0): a sweep from a t = 0.1 checkpoint reports the
+    # constant of the same field swept from t = 0
+    first = tmp_path / "first"
+    run_from_config(dict(sweep_doc(), tfinal=0.1), str(first))
+    saved = read_checkpoint(str(first / "checkpoint_final.axf1"))
+    assert saved.t == pytest.approx(0.1)
+    fresh_ckpt = str(tmp_path / "fresh.axf1")
+    write_checkpoint(replace(saved, t=0.0, step_index=0), fresh_ckpt)
+    nus = [1e-2, 5e-3, 2.5e-3, 1.25e-3]
+    results = []
+    for name, path, tfinal in (("fresh", fresh_ckpt, 0.1),
+                               ("restart", str(first / "checkpoint_final.axf1"), saved.t + 0.1)):
+        doc = dict(sweep_doc(), tfinal=tfinal, initial_condition={"kind": "checkpoint", "path": path})
+        results.append(sweep(doc, nus, str(tmp_path / name)))
+    fresh, restart = results
+    assert restart.sample_times[0] == saved.t
+    assert len(restart.sample_times) == len(fresh.sample_times) == 11
+    assert fresh.bound_constant > 0.0
+    assert restart.bound_constant == pytest.approx(fresh.bound_constant, rel=1e-9)
 
 
 def test_sweep_validation(tmp_path):
