@@ -128,10 +128,7 @@ def _cmd_renorm_check(args) -> int:
     from .lagrangian import built_in_renorm_functions, renorm_residual, replay_run_series
     from .test_functions import renorm_test_library
 
-    config_path = os.path.join(args.run, "config.json")
-    if not os.path.exists(config_path):
-        raise ConfigError(f"run directory {args.run} has no config.json")
-    config = RunConfig.from_dict(load_config_file(config_path))
+    config = RunConfig.from_dict(load_config_file(os.path.join(args.run, "config.json")))
     betas = built_in_renorm_functions()
     if args.beta is not None:
         if args.beta not in betas:

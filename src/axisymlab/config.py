@@ -1,15 +1,17 @@
 """Strict JSON run configuration and the configured-run driver.
 
-One JSON document describes one run.  The schema is strict: unknown keys are
-rejected and every numeric range is checked, with errors naming the offending
-key.  Physical parameters (grid, viscosity, final time, scheme, initial
-condition, monitored exponents) have no defaults; only the step controls,
-the boundary treatment and the output cadences do.  RunConfig keeps the step
-controls as one TimeStepPlan (RunConfig.plan, with TimeStepPlan's defaults),
-and RunConfig.initial_state() builds the solved starting state, boundary
-treatment included.  run_from_config executes the run and persists
+One JSON document describes one run.  Checking it is strict: unknown keys
+are rejected, every number keeps evolution.json_number's rule, and each
+range is checked once, by the code that owns it, with errors naming the
+offending key.  Physical parameters (grid, viscosity, final time, scheme,
+initial condition, monitored exponents) have no defaults; only the step
+controls, the boundary treatment and the output cadences do.  RunConfig
+keeps the step controls as one TimeStepPlan (RunConfig.plan, with
+TimeStepPlan's defaults), and RunConfig.initial_state() builds the solved
+starting state, boundary treatment included.  run_from_config executes the
+run and persists
 
-    config.json      the document as validated (canonical formatting)
+    config.json      the document (canonical formatting; a checkpoint path absolute)
     diagnostics.csv  one row per sampled step, fixed column set
     checkpoint_*.axf1 final state and optional periodic checkpoints
     manifest.json    grid/IC metadata and the output inventory
@@ -22,110 +24,86 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+import reprlib
+from dataclasses import dataclass, fields, replace
 
-import jsonschema
 import numpy as np
 
 from .diagnostics import DiagnosticsCollector, write_csv
-from .evolution import TimeStepPlan, make_state, read_checkpoint, run, write_checkpoint
+from .evolution import TimeStepPlan, json_number, make_state, read_checkpoint, run, write_checkpoint
 from .exceptions import ConfigError
 from .grid import build_grid
 from .initial_conditions import _spec_params, make_initial_condition
 
-_NUMBER = {"type": "number"}
-_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["grid", "nu", "tfinal", "scheme", "initial_condition", "p_list"],
-    "properties": {
-        "grid": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["nr", "nz", "r_max", "z_min", "z_max"],
-            "properties": {
-                "nr": {"type": "integer", "minimum": 4},
-                "nz": {"type": "integer", "minimum": 4},
-                "r_max": _POSITIVE,
-                "z_min": _NUMBER,
-                "z_max": _NUMBER,
-            },
-        },
-        "nu": {"type": "number", "minimum": 0},
-        "tfinal": {"type": "number", "minimum": 0},
-        "scheme": {"enum": ["xi_semilagrangian", "omega_conservative"]},
-        "initial_condition": {
-            "type": "object",
-            "required": ["kind"],
-            # analytic parameters are numbers, a checkpoint's path a string
-            "properties": {"kind": {"type": "string"}, "path": {"type": "string"}},
-            "additionalProperties": _NUMBER,
-        },
-        "p_list": {
-            "type": "array",
-            "minItems": 1,
-            "items": {"type": "number", "minimum": 1},
-        },
-        "dt": _POSITIVE,
-        "dt_max": _POSITIVE,
-        "cfl": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-        "theta": {"type": "number", "minimum": 0.5, "maximum": 1},
-        "boundary": {"enum": ["zero", "kernel"]},
-        "sample_every": {"type": "integer", "minimum": 1},
-        "checkpoint_every": {"type": "integer", "minimum": 0},
-        "blowup_limit": _POSITIVE,
-        "rng_seed": {"type": "integer", "minimum": 0},
-    },
-}
-
-# TimeStepPlan fields
-_PLAN_KEYS = ("scheme", "dt", "dt_max", "cfl", "theta", "sample_every", "blowup_limit")
+def _number(kind=float, low=-np.inf):
+    return lambda value, path: json_number(value, f"key {path!r}", kind, low)
 
 
-def _non_finite_paths(node, path=""):
-    """Key paths, dot-separated, of the NaN and infinite numbers in a JSON document."""
-    if isinstance(node, float) and not np.isfinite(node):
-        yield path
-    elif isinstance(node, (dict, list)):
-        children = node.items() if isinstance(node, dict) else enumerate(node)
-        for key, child in children:
-            yield from _non_finite_paths(child, f"{path}.{key}" if path else str(key))
+def _text(*names):
+    def check(value, path):
+        if not isinstance(value, str) or (names and value not in names):
+            want = " or ".join(map(repr, names)) or "a string"
+            raise ValueError(f"key {path!r} must be {want}, got {reprlib.repr(value)}")
+    return check
 
 
-def _schema_error_path(err: jsonschema.ValidationError) -> str:
-    parts = [str(p) for p in err.absolute_path]
-    return ".".join(parts) if parts else "<document root>"
+def _list_of(rule):
+    def check(value, path):
+        if not (isinstance(value, list) and value):
+            raise ValueError(f"key {path!r} must be a non-empty list, got {reprlib.repr(value)}")
+        for i, item in enumerate(value):
+            rule(item, f"{path}.{i}")
+    return check
+
+
+def _object(table, required=(), other=None):
+    """An object with the required keys, each key checked by table or else by other."""
+    def check(node, path):
+        if not isinstance(node, dict):
+            raise ValueError(f"{path or 'document'} must be an object, got {type(node).__name__}")
+        for key in dict.fromkeys([*required, *node]):
+            name = f"{path}.{key}" if path else key
+            if key not in node:
+                raise ValueError(f"key {name!r} is missing")
+            if key not in table and other is None:
+                raise ValueError(f"unknown key {name!r}")
+            table.get(key, other)(node[key], name)
+    return check
+
+
+_COUNT, _NUMBER = _number(int), _number()
+_GRID = {"nr": _COUNT, "nz": _COUNT, "r_max": _NUMBER, "z_min": _NUMBER, "z_max": _NUMBER}
+
+# Every key of a config document and the check of its value's type, called
+# with the value and its dotted key path.  A least value is kept only where no
+# constructor checks the range before the run starts: build_grid checks the
+# grid, TimeStepPlan.validated the step controls, and initial_conditions the
+# initial condition's kind and keys.
+_CONFIG = _object({
+    "grid": _object(_GRID, required=_GRID),
+    "nu": _number(low=0.0),
+    "tfinal": _number(low=0.0),
+    "scheme": _text(),
+    # a checkpoint's path is a string, analytic parameters are numbers
+    "initial_condition": _object({"kind": _text(), "path": _text()}, required=("kind",),
+                                 other=_NUMBER),
+    "p_list": _list_of(_number(low=1.0)),
+    "dt": _NUMBER, "dt_max": _NUMBER, "cfl": _NUMBER, "theta": _NUMBER, "blowup_limit": _NUMBER,
+    "sample_every": _COUNT,
+    "checkpoint_every": _number(int, low=0),
+    "rng_seed": _number(int, low=0),
+    "boundary": _text("zero", "kernel"),
+}, required=("grid", "nu", "tfinal", "scheme", "initial_condition", "p_list"))
+
+_PLAN_KEYS = tuple(field.name for field in fields(TimeStepPlan))
 
 
 def validate_config_dict(doc) -> dict:
-    """Validate a raw config document against the strict schema.
+    """Check a raw config document by building its RunConfig.
 
-    Returns the document unchanged on success; raises ConfigError naming the
-    offending key otherwise.  NaN and Infinity, which JSON readers accept and
-    range checks let through, are rejected first, by key path.
+    Returns the document unchanged; raises ConfigError naming the offending key.
     """
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
-    bad = next(_non_finite_paths(doc), None)
-    if bad is not None:
-        raise ConfigError(f"config key {bad!r}: must be a finite number")
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        if err.validator == "additionalProperties":
-            # pull the unexpected key's name out for a precise message
-            extra = sorted(
-                set(err.instance) - set(err.schema.get("properties", {}))
-            )
-            where = _schema_error_path(err)
-            raise ConfigError(f"unknown config key {extra[0]!r} at {where}")
-        raise ConfigError(f"config key {_schema_error_path(err)!r}: {err.message}")
-    z_min, z_max = doc["grid"]["z_min"], doc["grid"]["z_max"]
-    if not (z_min < z_max):
-        raise ConfigError(f"config key 'grid.z_min': need z_min < z_max, got [{z_min}, {z_max}]")
+    RunConfig.from_dict(doc)
     return doc
 
 
@@ -144,7 +122,7 @@ def load_config_file(path: str) -> dict:
 class RunConfig:
     """Typed view of a validated config document; build it with from_dict."""
 
-    doc: dict  # the validated document, written to config.json
+    doc: dict  # the validated document, checkpoint path absolute; written to config.json
     grid: dict
     nu: float
     tfinal: float
@@ -156,15 +134,27 @@ class RunConfig:
     rng_seed: int = 0
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "RunConfig":
-        doc = validate_config_dict(doc)
-        plan = TimeStepPlan(**{k: doc[k] for k in _PLAN_KEYS if k in doc}).validated()
+    def from_dict(cls, doc) -> "RunConfig":
+        """Check a raw config document and build its typed view.
+
+        The key table checks keys and value types, build_grid the grid and
+        TimeStepPlan.validated the step controls; ConfigError names the key.
+        """
+        try:
+            _CONFIG(doc, "")
+            build_grid(**doc["grid"])
+            plan = TimeStepPlan(**{k: doc[k] for k in _PLAN_KEYS if k in doc}).validated()
+        except ValueError as exc:
+            raise ConfigError(f"config: {exc}") from exc
+        spec = doc["initial_condition"]
+        if "path" in spec:
+            # config.json names the checkpoint so that it resolves from any directory
+            doc = dict(doc, initial_condition=dict(spec, path=os.path.abspath(spec["path"])))
         rest = {k: doc[k] for k in doc if k not in _PLAN_KEYS}
         return cls(doc=doc, plan=plan, **rest)
 
     def build_grid(self):
-        g = self.grid
-        return build_grid(g["nr"], g["nz"], g["r_max"], g["z_min"], g["z_max"])
+        return build_grid(**self.grid)
 
     def initial_state(self):
         """The solved starting state of the run and the initial condition's info.
@@ -206,8 +196,8 @@ def run_from_config(config, out_dir: str, extra_hook=None):
     """
     if isinstance(config, dict):
         config = RunConfig.from_dict(config)
-    os.makedirs(out_dir, exist_ok=True)
     state, ic_info = config.initial_state()
+    os.makedirs(out_dir, exist_ok=True)
     ps = list(config.p_list)
     collector = DiagnosticsCollector(ps)
 

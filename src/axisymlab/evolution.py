@@ -29,6 +29,7 @@ float64 field bytes (format tag AXF1).
 from __future__ import annotations
 
 import json
+import reprlib
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
@@ -476,14 +477,29 @@ def write_checkpoint(state: FluidState, path: str) -> None:
         f.write(np.ascontiguousarray(state.xi.values, dtype="<f8").tobytes())
 
 
+def json_number(value, name: str, kind=float, low=-np.inf):
+    """A number read from outside JSON, as kind; ValueError naming it if it breaks the rule.
+
+    The rule: no bools, a count (kind int) is a JSON integer, and the value
+    is at least low and finite, with |value| at most the largest double.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        what = "an integer" if kind is int else "a number"
+    elif not (low <= value and abs(value) <= sys.float_info.max):
+        what = "a finite double" + ("" if low == -np.inf else f" at least {low}")
+    else:
+        return kind(value)
+    raise ValueError(f"{name} must be {what}, got {reprlib.repr(value)}")
+
+
 def read_checkpoint(path: str) -> FluidState:
     """Load a checkpoint written by write_checkpoint as a solved state, without history.
 
     The state keeps the header's t, step_index, nu and boundary; older files
-    without boundary or step_index get "zero" or 0.  nr, nz and step_index
-    must be JSON integers and the other numeric fields JSON numbers; a header
-    field that is missing, malformed, not finite, or (for t, nu and
-    step_index) negative raises ValueError naming it.
+    without boundary or step_index get "zero" or 0.  Numeric fields follow
+    json_number's rule, nr, nz and step_index as counts and t, nu and
+    step_index at least 0; a header field that is missing or breaks it
+    raises ValueError naming it.
     """
     with open(path, "rb") as f:
         header_line = f.readline()
@@ -501,13 +517,7 @@ def read_checkpoint(path: str) -> FluidState:
     header.setdefault("step_index", 0)
 
     def number(key, kind=float, low=-np.inf):
-        value = header.get(key)
-        if isinstance(value, bool) or not isinstance(value, (int, kind)):
-            what = "an integer" if kind is int else "a number"
-            raise ValueError(f"checkpoint header in {path}: field {key!r} is missing or not {what}")
-        if not (low <= value and abs(value) <= sys.float_info.max):
-            raise ValueError(f"checkpoint header in {path}: field {key!r} is out of range: {value}")
-        return kind(value)
+        return json_number(header.get(key), f"checkpoint header in {path}: field {key!r}", kind, low)
 
     grid = build_grid(
         number("nr", int), number("nz", int), number("r_max"), number("z_min"), number("z_max")

@@ -11,7 +11,7 @@ other ValueError through unchanged.
 
 
 class ConfigError(ValueError):
-    """Invalid configuration, schema violation, or inadmissible parameters."""
+    """Invalid configuration, malformed outside input, or inadmissible parameters."""
 
 
 class NonFiniteFieldError(ValueError):

@@ -63,6 +63,29 @@ def test_validate_config_roundtrip():
     assert plan.scheme == "xi_semilagrangian" and plan.dt == 0.02
 
 
+# (key path, value): values that break the rule for outside numbers (no bools
+# or strings, counts are JSON integers, |x| at most the largest double), or
+# that lie outside a range only the config checks
+_MALFORMED = {
+    "nr-float": ("grid.nr", 24.0),
+    "sample_every-float": ("sample_every", 2.0),
+    "rng_seed-float": ("rng_seed", 3.0),
+    "nu-bool": ("nu", True),
+    "dt-string": ("dt", "0.01"),
+    "nu-huge": ("nu", 10**400),
+    "boundary-none": ("boundary", "none"),
+    "p_list-number": ("p_list", 2.0),
+    "checkpoint_every-negative": ("checkpoint_every", -1),
+}
+
+
+def _set_key(doc, path, value):
+    *parents, key = path.split(".")
+    for name in parents:
+        doc = doc[name]
+    doc[key] = value
+
+
 @pytest.mark.parametrize(
     "mutate,needle",
     [
@@ -87,6 +110,8 @@ def test_validate_config_roundtrip():
                      id="inf-r_max"),
         pytest.param(lambda d: d["initial_condition"].update(amplitude=float("nan")),
                      "'initial_condition.amplitude'", id="nan-amplitude"),
+        *(pytest.param(lambda d, path=path, value=value: _set_key(d, path, value),
+                       f"'{path}'", id=case) for case, (path, value) in _MALFORMED.items()),
     ],
 )
 def test_validate_config_rejections(mutate, needle):
@@ -272,6 +297,20 @@ def test_checkpoint_restart_through_config(tmp_path):
         run_from_config(mismatched, str(tmp_path / "third"))
 
 
+def test_rejected_initial_state_leaves_no_run_directory(tmp_path):
+    first = tmp_path / "first"
+    run_from_config(base_doc(), str(first))
+    unknown_kind = base_doc(initial_condition={"kind": "vortex_sheet"})
+    mismatched = base_doc(
+        grid={"nr": 16, "nz": 32, "r_max": 3.0, "z_min": -3.0, "z_max": 3.0},
+        initial_condition={"kind": "checkpoint", "path": str(first / "checkpoint_final.axf1")},
+    )
+    for name, doc in (("unknown_kind", unknown_kind), ("mismatched", mismatched)):
+        with pytest.raises(ConfigError):
+            run_from_config(doc, str(tmp_path / name))
+        assert not (tmp_path / name).exists()
+
+
 @pytest.mark.parametrize("key,overrides", [
     # the checkpoint holds kernel boundary data, which a config without
     # 'boundary' would silently replace by zero boundary data
@@ -428,10 +467,14 @@ def _bad_input_argv(tmp_path, case):
         path = tmp_path / "config.json"
         path.write_bytes(b"\xff" + json.dumps(base_doc()).encode("utf-8"))
         return ["run", "--config", str(path), "--out", str(tmp_path / "o")]
-    if case.startswith(("config-nan-", "config-ic-")):
+    if case.startswith("config-"):
         kind, name = case[len("config-"):].split("-", 1)
-        overrides = _NAN_OVERRIDES[name] if kind == "nan" else {"initial_condition": _BAD_ICS[name]}
-        doc = base_doc(**overrides)
+        if kind == "malformed":
+            doc = base_doc()
+            _set_key(doc, *_MALFORMED[name])
+        else:
+            doc = base_doc(**(_NAN_OVERRIDES[name] if kind == "nan"
+                              else {"initial_condition": _BAD_ICS[name]}))
         return ["run", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]
     if case.startswith("ball-radius"):
         radius = "-1" if case.endswith("negative") else "10"
@@ -451,6 +494,7 @@ def _bad_input_argv(tmp_path, case):
 @pytest.mark.parametrize("case", [
     "config-not-utf8", "config-nan-dt", "config-nan-amplitude",
     *(f"config-ic-{name}" for name in _BAD_ICS),
+    *(f"config-malformed-{name}" for name in _MALFORMED),
     *(f"{route}-{header}" for route in ("diag", "restart") for header in _BAD_HEADERS),
     "ball-radius-negative", "ball-radius-too-large",
 ])
@@ -460,6 +504,9 @@ def test_cli_bad_outside_input_exits_1(tmp_path, capsys, case):
     assert "error:" in err
     if case.startswith("config-ic-"):  # the message names the offending key
         assert case.split("-")[2] in err
+    if case.startswith("config-malformed-"):
+        assert repr(_MALFORMED[case[len("config-malformed-"):]][0]) in err
+    assert not [path for path in tmp_path.iterdir() if path.is_dir()]  # no run directory
 
 
 @pytest.mark.parametrize("key,value", [("stream_tol", 1e-10), ("diffusion_tol", 1e-12),
@@ -482,6 +529,16 @@ def test_cli_module_runs_without_warning():
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0
     assert "RuntimeWarning" not in done.stderr
+
+
+def test_import_does_not_load_jsonschema():
+    # configs are checked by the package's own key table
+    src = os.path.dirname(os.path.dirname(os.path.abspath(axisymlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", "import sys, axisymlab; "
+                           "print('jsonschema' in sys.modules)"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0 and done.stdout.strip() == "False"
 
 
 def test_cli_exit_code_validation(tmp_path, capsys):
@@ -560,6 +617,23 @@ def test_cli_renorm_check_on_a_restart(tmp_path, capsys):
     assert cli_main(["run", "--config", write_config(tmp_path, doc), "--out", run_dir]) == 0
     assert cli_main(["renorm-check", "--run", run_dir]) == 1
     assert "steps past t0" in capsys.readouterr().err
+
+
+def test_cli_renorm_check_inside_a_restarted_run(tmp_path, capsys, monkeypatch):
+    # the restart names its checkpoint relative to where it ran; config.json
+    # keeps it absolute, so the replay finds it from the run directory itself
+    monkeypatch.chdir(tmp_path)
+    run_from_config(base_doc(checkpoint_every=1), "first")
+    doc = base_doc(tfinal=0.06, initial_condition={
+        "kind": "checkpoint", "path": os.path.join("first", "checkpoint_000001.axf1")})
+    assert cli_main(["run", "--config", write_config(tmp_path, doc), "--out", "second"]) == 0
+    saved = json.loads((tmp_path / "second" / "config.json").read_text())["initial_condition"]
+    assert os.path.isabs(saved["path"])
+    assert os.path.samefile(saved["path"], tmp_path / "first" / "checkpoint_000001.axf1")
+    monkeypatch.chdir(tmp_path / "second")
+    capsys.readouterr()
+    assert cli_main(["renorm-check", "--run", ".", "--beta", "cubic_odd", "--tests", "4"]) == 0
+    assert np.isfinite(json.loads(capsys.readouterr().out)["residuals"]["cubic_odd"])
 
 
 def sweep_doc():
