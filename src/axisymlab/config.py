@@ -171,7 +171,7 @@ class RunConfig:
             saved = read_checkpoint(_spec_params(spec, {"path"})["path"])
         except (OSError, ValueError) as exc:
             raise ConfigError(f"checkpoint restart failed: {exc}") from exc
-        fits = {"grid": saved.grid.same_geometry(grid), "boundary": saved.boundary == self.boundary,
+        fits = {"grid": saved.grid == grid, "boundary": saved.boundary == self.boundary,
                 "tfinal": self.tfinal >= saved.t}
         bad = next((key for key, ok in fits.items() if not ok), None)
         if bad is not None:

@@ -69,15 +69,6 @@ class HalfPlaneGrid:
         r2d, z2d = np.meshgrid(self.r_centers, self.z_centers, indexing="ij")
         return r2d, z2d
 
-    def same_geometry(self, other: "HalfPlaneGrid") -> bool:
-        return (
-            self.nr == other.nr
-            and self.nz == other.nz
-            and self.r_max == other.r_max
-            and self.z_min == other.z_min
-            and self.z_max == other.z_max
-        )
-
 
 def build_grid(nr: int, nz: int, r_max: float, z_min: float, z_max: float) -> HalfPlaneGrid:
     if not (isinstance(nr, (int, np.integer)) and isinstance(nz, (int, np.integer))):

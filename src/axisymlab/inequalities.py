@@ -8,7 +8,8 @@ suite runners produce JSON-ready report dictionaries.
 Covered inequalities:
 
 - Muckenhoupt A_p products of the power weight m(r) = r^{-p} over 3-D balls
-  (angular integral done analytically, so each ball costs a 2-D quadrature);
+  (angular and axial integrals in closed form, so each ball costs a 1-D
+  radial quadrature);
 - weighted Sobolev ratios with the balance condition (2+alpha)/t =
   (2-s+beta)/s and alpha + t > 0;
 - a dyadic Hardy ratio on the strips [R,2R] x R vs [R,4R] x R;
@@ -39,10 +40,12 @@ class Ball3D:
     R: float
 
     def __post_init__(self):
-        if not (self.R > 0.0):
-            raise ValueError(f"ball radius must be positive, got {self.R}")
-        if self.d < 0.0:
-            raise ValueError(f"axis distance must be nonnegative, got {self.d}")
+        if not (0.0 <= self.d < np.inf):
+            raise ValueError(f"axis distance d must be finite and nonnegative, got {self.d}")
+        if not np.isfinite(self.x3):
+            raise ValueError(f"axial coordinate x3 must be finite, got {self.x3}")
+        if not (0.0 < self.R < np.inf):
+            raise ValueError(f"ball radius R must be finite and positive, got {self.R}")
 
     @property
     def far_field(self) -> bool:
@@ -56,46 +59,48 @@ def _conjugate(p: float) -> float:
     return p / (p - 1.0)
 
 
+def _section_length(a, b):
+    """4 int_0^pi sqrt((a + b cos phi)_+) dphi for arrays a and b >= 0, in closed form."""
+    from scipy.special import ellipe, ellipk
+
+    section = np.zeros_like(a)
+    whole = (a >= b) & (a + b > 0.0)
+    s = a[whole] + b[whole]
+    section[whole] = 8.0 * np.sqrt(s) * ellipe(2.0 * b[whole] / s)
+    part = np.abs(a) < b
+    m = (a[part] + b[part]) / (2.0 * b[part])
+    section[part] = 8.0 * np.sqrt(2.0 * b[part]) * (ellipe(m) - (1.0 - m) * ellipk(m))
+    return section
+
+
 def _batched_ball_averages(d, R, exponents, n: int):
-    """Integrals of r^exponent over balls, exact in the angular variable.
+    """Integrals of r^exponent over balls, exact in the angular and axial variables.
 
     d, R are 1-D arrays of equal length; the weight does not depend on z, so
-    the ball's axial position x3 drops out and z is measured from the centre.
-    For each ball the set of azimuths inside it at fixed (r, z) has measure
-    2*theta(r, z) with cos(theta) clipped from (r^2 + d^2 + z^2 - R^2) /
-    (2 r d); the radial factor r^{exponent+1} is integrated exactly across
-    each radial quadrature cell so integrable axis singularities cost no
-    accuracy.  theta sees z only through z^2 and the z midpoints are
-    symmetric about the centre, so theta is evaluated on the lower half of
-    the z cells, each weighted 2 (the middle cell of an odd n once), and
-    summed over z before any exponent is applied.
+    the ball's axial position x3 drops out.  At fixed r the ball's section by
+    the cylinder of radius r has length (in the azimuth-axial plane)
+    L(r) = 4 int_0^pi sqrt((a + b cos phi)_+) dphi with a = R^2 - r^2 - d^2
+    and b = 2 r d, which complete elliptic integrals of parameter m give in
+    closed form (Byrd & Friedman, Handbook of Elliptic Integrals for
+    Engineers and Scientists, Springer 1971):
+    L = 8 sqrt(a + b) E(2b / (a + b)) when a >= b (the whole circle lies in
+    the ball), L = 8 sqrt(2b) (E(m) - (1 - m) K(m)) with m = (a + b) / (2b)
+    when |a| < b, and L = 0 when a <= -b.  The only quadrature is radial:
+    L is taken at the midpoints of n cells spanning the ball, and the factor
+    r^{exponent+1} is integrated exactly across each cell so integrable axis
+    singularities cost no accuracy.
     Returns ([weighted integrals, one array per exponent], plain volumes);
-    every integral shares the one theta table, so exponent = 0 gives the
+    every integral shares the one table of L, so exponent = 0 gives the
     volume exactly.  Integrability at the axis (exponent > -2 whenever a
     ball meets it) is the caller's responsibility.
     """
-    d = np.asarray(d, dtype=np.float64)[:, None, None]
-    R = np.asarray(R, dtype=np.float64)[:, None, None]
-
-    # radial and lower-half axial quadrature cells over the bounding box of each ball
-    edges = np.linspace(0.0, 1.0, n + 1)[None, :, None]
+    d = np.asarray(d, dtype=np.float64)[:, None]
+    R = np.asarray(R, dtype=np.float64)[:, None]
     r_lo_box = np.maximum(d - R, 0.0)
-    r_edges = r_lo_box + (d + R - r_lo_box) * edges  # (m, n+1, 1)
-    r_mid = 0.5 * (r_edges[:, 1:, :] + r_edges[:, :-1, :])
-    half = (n + 1) // 2
-    z_rel = (np.linspace(0.0, 1.0, n + 1)[:half] + 0.5 / n)[None, None, :]
-    z_off = -R + 2.0 * R * z_rel  # offset from center, (m, 1, half)
-
-    num = r_mid**2 + d**2 + z_off**2 - R**2
-    den = 2.0 * r_mid * d
-    with np.errstate(divide="ignore", invalid="ignore"):
-        arg = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.where(num <= 0.0, -1.0, 1.0))
-    theta = np.arccos(np.clip(arg, -1.0, 1.0))
-    fold = np.where(np.arange(half) == n // 2, 1.0, 2.0)
-    theta_z = np.einsum("mrz,z->mr", theta, fold)  # (m, n)
-
-    lo, hi = r_edges[:, :-1, 0], r_edges[:, 1:, 0]
-    dz_cell = 2.0 * R[:, 0, 0] / n
+    r_edges = r_lo_box + (d + R - r_lo_box) * np.linspace(0.0, 1.0, n + 1)
+    lo, hi = r_edges[:, :-1], r_edges[:, 1:]
+    r_mid = 0.5 * (lo + hi)
+    section = _section_length(R**2 - r_mid**2 - d**2, 2.0 * r_mid * d)
     integrals = []
     for exponent in (*exponents, 0.0):
         e2 = exponent + 2.0
@@ -105,7 +110,7 @@ def _batched_ball_averages(d, R, exponents, n: int):
                 radial = np.where(lo > 0.0, radial, np.inf)
             else:
                 radial = (hi**e2 - lo**e2) / e2
-        integrals.append(2.0 * np.sum(theta_z * radial, axis=1) * dz_cell)
+        integrals.append(np.sum(section * radial, axis=1))
     return integrals[:-1], integrals[-1]
 
 
@@ -129,8 +134,11 @@ def ap_product(p: float, ball: Ball3D, n: int = 64, weight_exponent=None) -> flo
 
     weight_exponent overrides the power (0 gives the constant-weight control,
     whose product is exactly 1 by construction since both averages share one
-    quadrature).  p = 2 is accepted only for balls not meeting the axis,
-    where every integral is still proper; the scan itself stays in (1, 2).
+    quadrature).  The angular and axial integrals are exact (complete
+    elliptic integrals, see _batched_ball_averages), so n sets only the
+    radial cells, the one quadrature error.  p = 2 is accepted only for balls
+    not meeting the axis, where every integral is still proper; the scan
+    itself stays in (1, 2).
     """
     if not (1.0 < p <= 2.0):
         raise ValueError(f"p must lie in (1, 2], got {p}")

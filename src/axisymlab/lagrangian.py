@@ -77,7 +77,7 @@ class _Series:
         grid = fields[0].grid
         role = getattr(fields[0], "role", None)
         for f in fields:
-            if not f.grid.same_geometry(grid) or getattr(f, "role", None) != role:
+            if f.grid != grid or getattr(f, "role", None) != role:
                 raise ValueError("all snapshots must share one grid and role")
         self.times = times
         self.fields = list(fields)
@@ -450,7 +450,7 @@ def _march(velocity, datum: ScalarField, grid, T: float, n_steps: int, diffuse, 
     """
     if n_steps < 1 or T <= 0.0:
         raise ValueError("need T > 0 and at least one step")
-    if not datum.grid.same_geometry(grid):
+    if datum.grid != grid:
         raise ValueError("transported data and velocity series grids differ")
     dt = T / n_steps
     times = dt * np.arange(n_steps + 1)

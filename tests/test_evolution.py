@@ -459,7 +459,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     write_checkpoint(st, path)
     back = read_checkpoint(path)
     assert back.t == st.t and back.nu == st.nu
-    assert back.grid.same_geometry(g)
+    assert back.grid == g
     assert np.array_equal(back.xi.values, st.xi.values)
     # writing the same state twice produces identical bytes
     path2 = os.path.join(tmp_path, "state2.axf1")

@@ -27,8 +27,8 @@ def test_grid_geometry():
     assert r2d.shape == (8, 16)
     # C order, z fastest
     assert r2d[3, 5] == g.r_centers[3] and z2d[3, 5] == g.z_centers[5]
-    assert g.same_geometry(build_grid(8, 16, 2.0, -1.0, 3.0))
-    assert not g.same_geometry(build_grid(8, 16, 2.0, -1.0, 2.0))
+    assert g == build_grid(8, 16, 2.0, -1.0, 3.0)
+    assert g != build_grid(8, 16, 2.0, -1.0, 2.0)
 
 
 def test_build_grid_validation():

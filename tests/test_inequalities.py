@@ -17,7 +17,7 @@ from axisymlab import (
 )
 from axisymlab import TestFunctionSpec as FnSpec
 from axisymlab import test_functions
-from axisymlab.inequalities import _batched_ap_products, _batched_ball_averages
+from axisymlab.inequalities import _batched_ap_products, _batched_ball_averages, _section_length
 from axisymlab.test_functions import integrate_gradient_power, integrate_power
 
 BUMP = FnSpec(
@@ -36,6 +36,10 @@ def test_ball3d_validation():
         Ball3D(d=1.0, x3=0.0, R=0.0)
     with pytest.raises(ValueError):
         Ball3D(d=-0.1, x3=0.0, R=1.0)
+    # non-finite fields are refused by name, not carried into a NaN product
+    for field, value in (("d", np.nan), ("d", np.inf), ("x3", np.nan), ("R", np.inf)):
+        with pytest.raises(ValueError, match=rf"\b{field}\b"):
+            Ball3D(**{"d": 1.0, "x3": 0.0, "R": 1.0, field: value})
     assert Ball3D(d=2.0, x3=0.0, R=1.0).far_field
     assert not Ball3D(d=1.9, x3=0.0, R=1.0).far_field
     assert Ball3D(d=0.5, x3=0.0, R=1.0).meets_axis()
@@ -121,16 +125,17 @@ def test_ap_scan_report():
         ap_scan(1.5, sample_count=100)
 
 
-def _full_z_ball_averages(d, R, exponents, n):
-    # the unfolded quadrature: theta on every z cell, summed together with
-    # the radial factor of each exponent
+def _full_z_ball_averages(d, R, exponents, n, nz):
+    # the z quadrature the closed form replaces: the azimuthal half-angle
+    # theta inside the ball on n radial by nz axial midpoint cells, summed
+    # together with the radial factor of each exponent
     d = np.asarray(d, dtype=np.float64)[:, None, None]
     R = np.asarray(R, dtype=np.float64)[:, None, None]
     edges = np.linspace(0.0, 1.0, n + 1)[None, :, None]
     r_lo_box = np.maximum(d - R, 0.0)
     r_edges = r_lo_box + (d + R - r_lo_box) * edges
     r_mid = 0.5 * (r_edges[:, 1:, :] + r_edges[:, :-1, :])
-    z_off = -R + 2.0 * R * (np.linspace(0.0, 1.0, n + 1)[:-1] + 0.5 / n)[None, None, :]
+    z_off = -R + 2.0 * R * (np.linspace(0.0, 1.0, nz + 1)[:-1] + 0.5 / nz)[None, None, :]
     num = r_mid**2 + d**2 + z_off**2 - R**2
     den = 2.0 * r_mid * d
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -141,27 +146,66 @@ def _full_z_ball_averages(d, R, exponents, n):
     for exponent in (*exponents, 0.0):
         e2 = exponent + 2.0
         radial = np.log(hi / lo) if e2 == 0.0 else (hi**e2 - lo**e2) / e2
-        out.append(2.0 * np.sum(theta * radial, axis=(1, 2)) * 2.0 * R[:, 0, 0] / n)
+        out.append(2.0 * np.sum(theta * radial, axis=(1, 2)) * 2.0 * R[:, 0, 0] / nz)
     return out[:-1], out[-1]
 
 
+def test_section_length_matches_phi_quadrature():
+    # every branch of the closed form and its edges against a direct
+    # quadrature of 4 sqrt((a + b cos phi)_+) over the arc where it is positive
+    b = 2.0
+    cases = [
+        (3.0, 0.0),  # d = 0: the whole circle, b = 0
+        (0.0, 0.0),  # a + b = 0 on the axis
+        (-0.5, 0.0),  # outside, b = 0
+        (7.0, b),  # whole circle, a > b
+        (b, b),  # a = b: the circle touches the sphere, m = 1
+        (0.3, b),  # part of the circle, |a| < b
+        (-1.7, b),  # part of the circle, m = 0.075
+        (-b * (1.0 - 1e-4), b),  # a just above -b, m = 5e-5
+        (-b, b),  # a = -b: a single point
+        (-3.0, b),  # a < -b: no section
+    ]
+    a = np.array([c[0] for c in cases])
+    bb = np.array([c[1] for c in cases])
+    got = _section_length(a, bb)
+    for (ai, bi), g in zip(cases, got):
+        if ai <= -bi:
+            assert g == 0.0
+            continue
+        cut = np.pi if ai >= bi else np.arccos(-ai / bi)
+        want, _ = integrate.quad(lambda phi: 4.0 * np.sqrt(max(ai + bi * np.cos(phi), 0.0)),
+                                 0.0, cut, epsabs=0.0, epsrel=1e-13, limit=200)
+        assert abs(g - want) <= 1e-10 * want, (ai, bi, g, want)
+
+
 @pytest.mark.parametrize("n", [9, 24, 48])
-def test_ball_averages_fold_the_z_symmetry(n):
-    # balls on the axis, meeting it and clear of it; the folded quadrature
-    # differs from the unfolded one by summation order and the round-off of
-    # the mirrored midpoints only
+def test_ball_averages_are_the_limit_of_the_z_quadrature(n):
+    # balls on the axis, meeting it and clear of it, at a fixed radial rule.
+    # At each r the z integrand 2 theta rises from 0 to at most 2 pi and
+    # falls back, so the midpoint rule on nz cells of width h = 2R / nz errs
+    # by at most 2 pi h there (half the cell width times the variation), and
+    # over the ball by 2 pi h times the integral of r^(exponent+1) across
+    # the radial span.  The error itself oscillates with where each chord
+    # ends between midpoints, but it stays under this bound, which halves
+    # with each doubling, and closes on the exact section integrals.
     d = np.array([0.0, 0.3, 1.0, 3.0, 2.5, 12.0])
     R = np.array([0.7, 1.0, 1.0, 1.0, 1.0, 4.0])
-    for exponents in ((-1.5, 3.0), (-1.2, 2.4), (0.0, -0.0)):
-        got, vol = _batched_ball_averages(d, R, exponents, n)
-        want, want_vol = _full_z_ball_averages(d, R, exponents, n)
-        for g, w in zip([*got, vol], [*want, want_vol]):
-            np.testing.assert_allclose(g, w, rtol=1e-14, atol=0.0)
-    # the e2 == 0 log branch, on the balls clear of the axis
     clear = d > R
-    (got,), vol = _batched_ball_averages(d[clear], R[clear], (-2.0,), n)
-    (want,), _ = _full_z_ball_averages(d[clear], R[clear], (-2.0,), n)
-    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    # the last case is the e2 == 0 log branch, on the balls clear of the axis
+    for exponents, bd, bR in (((-1.5, 3.0), d, R), ((-1.2, 2.4), d, R), ((-2.0,), d[clear], R[clear])):
+        got, vol = _batched_ball_averages(bd, bR, exponents, n)
+        lo, hi = np.maximum(bd - bR, 0.0), bd + bR
+        spans = [np.log(hi / lo) if e == -2.0 else (hi ** (e + 2.0) - lo ** (e + 2.0)) / (e + 2.0)
+                 for e in (*exponents, 0.0)]
+        errors = []
+        for nz in (32, 64, 128, 256, 512, 1024, 2048):
+            want, want_vol = _full_z_ball_averages(bd, bR, exponents, n, nz)
+            h = 2.0 * bR / nz
+            for g, w, span in zip([*got, vol], [*want, want_vol], spans):
+                assert np.all(np.abs(w - g) <= 2.0 * np.pi * h * span)
+            errors.append(max(np.max(np.abs(w / g - 1.0)) for g, w in zip([*got, vol], [*want, want_vol])))
+        assert errors[-1] < min(errors[0] / 10.0, 5e-4), errors
     # both constant-weight averages share the volume's arithmetic
     assert np.all(_batched_ap_products(1.5, d, R, n, weight_exponent=0.0) == 1.0)
 
