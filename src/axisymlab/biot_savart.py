@@ -16,10 +16,11 @@ Two independent routes are provided.
    with complete elliptic integrals, used for validation and for optional
    inhomogeneous boundary data on the truncated domain.  kernel_velocity
    sums over every nonzero cell, O(N) per evaluation point.
-   kernel_stream_values groups the points by radius and evaluates each
-   distinct kernel argument once, exactly (see its docstring), so the
-   boundary data of one solve cost about nr^2 nz kernel evaluations
-   instead of (2 nr + nz) nr nz.
+   kernel_stream_values reads its kernel values from a KernelPlan, which
+   groups the points by radius and evaluates each distinct kernel argument
+   once, exactly (see its docstring).  The grid keeps the plan of its outer
+   faces, so the boundary data cost about nr^2 nz kernel evaluations once
+   per grid, and each solve only gathers and sums the tabulated terms.
 
 Boundary conditions for the solve: psi = 0 on the axis (enforced through a
 one-sided axis closure consistent with psi ~ c r^2) and psi = 0 (or
@@ -28,7 +29,7 @@ kernel-evaluated data) on the three outer boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy.special import ellipe, ellipkm1
@@ -200,17 +201,27 @@ def _source_cells(omega: ScalarField):
     )
 
 
+def _query_points(points) -> np.ndarray:
+    """points as a float64 (n, 2) array of finite (r, z) pairs; ValueError otherwise."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError(f"points must have shape (n, 2), got {points.shape}")
+    bad = ~np.all(np.isfinite(points), axis=1)
+    if np.any(bad):
+        raise ValueError(f"query points must be finite, got {points[bad].tolist()}")
+    return points
+
+
 def kernel_velocity(omega: ScalarField, points: np.ndarray) -> np.ndarray:
     """Velocity at query points by direct kernel summation over cells.
 
-    points is (n, 2) with columns (r, z); queries on or left of the axis are
-    rejected.  The quadrature skips the self-cell (the logarithmic kernel
-    singularity makes the midpoint rule meaningless there); validation
-    comparisons should stay several cells away from concentrated vorticity.
+    points is (n, 2) with columns (r, z); non-finite queries and queries on
+    or left of the axis are rejected.  The quadrature skips the self-cell
+    (the logarithmic kernel singularity makes the midpoint rule meaningless
+    there); validation comparisons should stay several cells away from
+    concentrated vorticity.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if points.shape[1] != 2:
-        raise ValueError("points must have shape (n, 2)")
+    points = _query_points(points)
     if np.any(points[:, 0] <= 0.0):
         raise ValueError("kernel evaluation requires r > 0 query points")
     grid = omega.grid
@@ -227,78 +238,115 @@ def kernel_velocity(omega: ScalarField, points: np.ndarray) -> np.ndarray:
     return out
 
 
+class KernelPlan:
+    """The filament-kernel tables of a set of query points on one grid.
+
+    The kernel depends on z - zbar only through (z - zbar)^2, so points with
+    the same r need one kernel value per cell row and distinct |z - zbar|.
+    The plan groups the points by exact r (points with r <= 0 form no
+    group) and keeps, per group, the point indices, each point's offset
+    index per grid column, and the ring_stream table over every cell row
+    and the group's distinct offsets.  The entry of a point's own cell
+    centre is 0.  For the outer faces of a uniform grid the r = r_max face
+    is one group and the two z faces share one group per cell radius, so
+    the tables hold (nr + 1) nr nz doubles: 4 MiB at 64x128 and 268 MiB at
+    256x512.
+    """
+
+    def __init__(self, grid: HalfPlaneGrid, points):
+        # the grid's fields, not the grid: a grid keeps its boundary plan, and
+        # a reference back would leave both to the cyclic garbage collector
+        self.grid_fields = astuple(grid)
+        self.points = _query_points(points)
+        self.groups = []  # (point indices, offset indices (points, nz), table (nr, offsets))
+        rbar = grid.r_centers[:, None]
+        radii, group = np.unique(self.points[:, 0], return_inverse=True)
+        for k, rq in enumerate(radii):
+            if rq <= 0.0:
+                continue
+            sel = np.flatnonzero(group == k)
+            dz = np.abs(self.points[sel, 1, None] - grid.z_centers)
+            offsets, inv = np.unique(dz, return_inverse=True)
+            table = ring_stream(rq, offsets, rbar, 0.0)
+            table[np.isinf(table)] = 0.0  # a query on a cell centre skips that cell
+            self.groups.append((sel, inv.reshape(dz.shape), table))
+
+
 # kernel_stream_values gathers at most this many terms (64 KiB) at a time,
 # unless one point's terms are more; 512 KiB blocks were no faster and raised
-# the peak RSS of a 64x128 kernel-boundary run by about 1 MiB
+# the peak RSS of a 64x128 kernel-boundary run by about 1 MiB.  The budget
+# bounds one call's gather; the grid's boundary plan keeps its tables, about
+# 4 MiB at 64x128, for as long as the grid lives.
 _GATHER_BUDGET = 1 << 13
 
 
-def kernel_stream_values(omega: ScalarField, points: np.ndarray) -> np.ndarray:
+def kernel_stream_values(
+    omega: ScalarField, points: np.ndarray, plan: KernelPlan | None = None
+) -> np.ndarray:
     """Stream-function values at query points by kernel summation over cells.
 
-    points is (n, 2) with columns (r, z); any other shape raises ValueError.
-    A point with r <= 0 gets 0.  The value at (r, z) is the midpoint sum of
+    points is (n, 2) with finite columns (r, z); any other shape or a
+    non-finite point raises ValueError.  A point with r <= 0 gets 0.  The
+    value at (r, z) is the midpoint sum of
     ring_stream(r, z, rbar, zbar) * omega * cell_area over the cells, taken
     over the bounding box of the nonzero vorticity (cells inside the box
     with zero vorticity add exactly 0).  A query exactly at a cell centre
     leaves that one cell out, because its filament passes through the point.
 
-    The kernel depends on z - zbar only through (z - zbar)^2, so points with
-    the same r need one kernel value per source row and distinct |z - zbar|.
-    The points are grouped by exact r; each group evaluates its rows x
-    offsets table once and gathers every point's terms from it.  The table
+    The kernel values come from plan, the KernelPlan of these points on
+    omega's grid (ValueError if it is another grid's or other points');
+    without one, a plan is built for this call, which tabulates every cell
+    row and column, not only the bounding box.  Each call gathers every
+    point's terms from the tables cut to the bounding box.  The table
     entries are bit-identical to the terms of the plain per-cell sum; only
     the summation order differs.  On a uniform grid the outer-boundary
-    points of one solve share most offsets: the r = r_max face is one group
-    and the two z faces share one group per cell radius, so about nr^2 nz
-    kernel values replace (2 nr + nz) nr nz.  A lone point costs what the
-    per-cell sum costs.
+    points share most offsets, so about nr^2 nz kernel values replace
+    (2 nr + nz) nr nz, and the grid's plan
+    (HalfPlaneGrid.kernel_boundary_plan) evaluates them once per grid.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise ValueError(f"points must have shape (n, 2), got {points.shape}")
-    out = np.zeros(points.shape[0])
+    if plan is None:
+        plan = KernelPlan(omega.grid, points)
+    elif plan.grid_fields != astuple(omega.grid):
+        raise ValueError("kernel plan for another grid")
+    elif not np.array_equal(plan.points, points):
+        raise ValueError("kernel plan for other points")
+    out = np.zeros(plan.points.shape[0])
     rows, cols = (np.flatnonzero(np.any(omega.values != 0.0, axis=a)) for a in (1, 0))
     if rows.size == 0:
         return out
-    grid = omega.grid
-    box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
-    gamma = omega.values[box] * grid.cell_area
-    rbar = grid.r_centers[box[0], None]
-    zbar = grid.z_centers[box[1]]
+    box_rows, box_cols = slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
+    gamma = omega.values[box_rows, box_cols] * omega.grid.cell_area
     step = max(_GATHER_BUDGET // gamma.size, 1)  # points per gather
-    radii, group = np.unique(points[:, 0], return_inverse=True)
-    for k, rq in enumerate(radii):
-        if rq <= 0.0:
-            continue
-        sel = np.flatnonzero(group == k)
-        dz = np.abs(points[sel, 1, None] - zbar)
-        offsets, inv = np.unique(dz, return_inverse=True)
-        inv = inv.reshape(dz.shape)
-        table = ring_stream(rq, offsets, rbar, 0.0)
-        table[np.isinf(table)] = 0.0  # a query on a cell centre skips that cell
+    for sel, inv, table in plan.groups:
+        table, inv = table[box_rows], inv[:, box_cols]
         for s in range(0, sel.size, step):
             terms = table[:, inv[s : s + step]]  # (rows, points, columns)
             out[sel[s : s + step]] = np.einsum("ipj,ij->p", terms, gamma)
     return out
 
 
+def _outer_face_points(grid: HalfPlaneGrid) -> np.ndarray:
+    """The boundary points of the r = r_max face, then z_min, then z_max."""
+    rc = grid.r_centers
+    return np.vstack([
+        np.column_stack([np.full(grid.nz, grid.r_max), grid.z_centers]),
+        np.column_stack([rc, np.full(grid.nr, grid.z_min)]),
+        np.column_stack([rc, np.full(grid.nr, grid.z_max)]),
+    ])
+
+
 def _kernel_boundary_rhs(omega: ScalarField) -> np.ndarray:
     """Right-hand-side contribution of kernel-evaluated Dirichlet data on the
     outer boundary faces (ghost = 2 g - interior).
 
-    One kernel_stream_values call covers the r = r_max face, then z_min,
-    then z_max, so the two z faces share their kernel tables.
+    One kernel_stream_values call covers the three faces through the grid's
+    plan, so the two z faces share their kernel tables.
     """
     grid = omega.grid
     nr, nz = grid.nr, grid.nz
     rc = grid.r_centers
-    points = np.vstack([
-        np.column_stack([np.full(nz, grid.r_max), grid.z_centers]),
-        np.column_stack([rc, np.full(nr, grid.z_min)]),
-        np.column_stack([rc, np.full(nr, grid.z_max)]),
-    ])
-    g = kernel_stream_values(omega, points)
+    plan = grid.kernel_boundary_plan
+    g = kernel_stream_values(omega, plan.points, plan)
     rhs = np.zeros((nr, nz))
     rhs[nr - 1, :] += 2.0 * rc[-1] * g[:nz] / (grid.hr**2 * grid.r_max)
     rhs[:, 0] += 2.0 * g[nz : nz + nr] / grid.hz**2

@@ -61,6 +61,15 @@ class HalfPlaneGrid:
         """Cell-center radii as an (nr, 1) column for broadcasting."""
         return self.r_centers[:, None]
 
+    @cached_property
+    def kernel_boundary_plan(self):
+        """The biot_savart.KernelPlan of the three outer faces' boundary
+        points: built by the first kernel-boundary stream solve on this grid
+        and kept as long as the grid."""
+        from .biot_savart import KernelPlan, _outer_face_points  # biot_savart imports this module
+
+        return KernelPlan(self, _outer_face_points(self))
+
     @property
     def cell_area(self) -> float:
         return self.hr * self.hz

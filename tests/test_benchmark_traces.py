@@ -12,7 +12,7 @@ import os
 import numpy as np
 import pytest
 
-from axisymlab import evolution, inequalities, lagrangian
+from axisymlab import biot_savart, evolution, inequalities, lagrangian
 from axisymlab.evolution import TimeStepPlan, make_state
 from axisymlab.grid import ScalarField, VelocityField, build_grid
 from axisymlab.initial_conditions import gaussian_ring_xi
@@ -68,6 +68,34 @@ def test_tracer_counts_the_conservative_kernel_route():
     metrics = tracing.layer_metrics(tracer.spans, 1)
     for name in ("biot_savart.kernel_pairs", "evolution.step_s"):
         assert metrics[name] > 0, name
+
+
+def test_kernel_tables_are_built_once_per_grid(monkeypatch):
+    # hill_kernel's speed rests on the grid keeping its boundary plan: more
+    # steps, or a second state on the same grid, evaluate no new kernel table
+    calls = []
+    ring_stream = biot_savart.ring_stream
+
+    def counted(*args):
+        calls.append(args)
+        return ring_stream(*args)
+
+    monkeypatch.setattr(biot_savart, "ring_stream", counted)
+
+    def kernel_run(steps):
+        calls.clear()
+        grid = build_grid(16, 32, 3.0, -3.0, 3.0)
+        xi = gaussian_ring_xi(grid, 1.0, 0.0, 0.3, 5.0)
+        state = make_state(grid, xi, 1e-2, boundary="kernel")
+        evolution.run(state, 0.01 * steps, TimeStepPlan(dt=0.01, scheme="omega_conservative"))
+        return grid, xi, len(calls)
+
+    _, _, one_step = kernel_run(1)
+    grid, xi, five_steps = kernel_run(5)
+    # one table per face radius: the r = r_max face and each cell radius
+    assert one_step == five_steps == grid.nr + 1
+    make_state(grid, xi, 1e-2, boundary="kernel")
+    assert len(calls) == five_steps
 
 
 @pytest.mark.parametrize("direction", ["forward", "backward"])

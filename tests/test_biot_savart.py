@@ -1,7 +1,12 @@
+import gc
+import re
+import weakref
+
 import numpy as np
 import pytest
 
 from axisymlab.biot_savart import (
+    KernelPlan,
     check_divergence,
     kernel_decay_check,
     kernel_stream_values,
@@ -12,7 +17,7 @@ from axisymlab.biot_savart import (
     stream_operator_radial,
     velocity_from_stream,
 )
-from axisymlab.biot_savart import _kernel_boundary_rhs
+from axisymlab.biot_savart import _GATHER_BUDGET, _kernel_boundary_rhs
 from axisymlab.grid import ScalarField, build_grid
 from axisymlab.initial_conditions import (
     hill_vortex_stream,
@@ -208,6 +213,11 @@ def test_kernel_velocity_validation():
     # points on or left of the axis give 0; a single (r, z) pair is one point
     assert np.array_equal(kernel_stream_values(om, [[0.0, 0.1], [-0.5, 0.0]]), [0.0, 0.0])
     assert kernel_stream_values(om, [0.5, 0.0]).shape == (1,)
+    # a non-finite query is named, not summed into NaN or 0
+    for bad in ([[np.nan, 0.0]], [[np.inf, 0.0]], [[1.0, np.inf]]):
+        for kernel in (kernel_velocity, kernel_stream_values):
+            with pytest.raises(ValueError, match=re.escape(f"finite, got {bad}")):
+                kernel(om, [[0.5, 0.0]] + bad)
 
 
 def test_kernel_decay_check():
@@ -316,3 +326,81 @@ def test_kernel_boundary_rhs_matches_per_face_assembly(grid_name, support):
     got = _kernel_boundary_rhs(om)
     assert np.array_equal(got != 0.0, want != 0.0)
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+def _reference_kernel_stream_values(omega, points):
+    """The per-call loop that kernel_stream_values ran before kernel plans,
+    kept as the oracle: per radius, a table over the rows and offsets of the
+    vorticity's bounding box, gathered and summed in the same order."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    out = np.zeros(points.shape[0])
+    rows, cols = (np.flatnonzero(np.any(omega.values != 0.0, axis=a)) for a in (1, 0))
+    if rows.size == 0:
+        return out
+    grid = omega.grid
+    box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+    gamma = omega.values[box] * grid.cell_area
+    rbar = grid.r_centers[box[0], None]
+    zbar = grid.z_centers[box[1]]
+    step = max(_GATHER_BUDGET // gamma.size, 1)
+    radii, group = np.unique(points[:, 0], return_inverse=True)
+    for k, rq in enumerate(radii):
+        if rq <= 0.0:
+            continue
+        sel = np.flatnonzero(group == k)
+        dz = np.abs(points[sel, 1, None] - zbar)
+        offsets, inv = np.unique(dz, return_inverse=True)
+        inv = inv.reshape(dz.shape)
+        table = ring_stream(rq, offsets, rbar, 0.0)
+        table[np.isinf(table)] = 0.0
+        for s in range(0, sel.size, step):
+            terms = table[:, inv[s : s + step]]
+            out[sel[s : s + step]] = np.einsum("ipj,ij->p", terms, gamma)
+    return out
+
+
+@pytest.mark.parametrize("support", ["hill", "gaussian"])
+def test_kernel_plan_reproduces_the_per_call_sum(support):
+    g = build_grid(*GRIDS["non_dyadic"])
+    om = vorticity(g, support)
+    rng = np.random.default_rng(7)
+    scattered = np.column_stack([rng.uniform(0.01, 2.5, 20), rng.uniform(-2.0, 2.0, 20)])
+    # a cell centre inside Hill's bounding box, and points on or left of the axis
+    special = [[g.r_centers[16], g.z_centers[47]], [0.0, 0.2], [-0.3, 0.1]]
+    pts = np.vstack([boundary_points(g), scattered, special])
+    plan = KernelPlan(g, pts)
+    # the second field's bounding box is another part of the plan's tables
+    for field in (om, om.with_values(-0.5 * np.roll(om.values, 7, axis=1))):
+        want = _reference_kernel_stream_values(field, pts).tobytes()
+        assert kernel_stream_values(field, pts).tobytes() == want
+        assert kernel_stream_values(field, pts, plan).tobytes() == want
+    boundary = g.kernel_boundary_plan
+    want = _reference_kernel_stream_values(om, boundary_points(g)).tobytes()
+    assert kernel_stream_values(om, boundary.points, boundary).tobytes() == want
+
+
+def test_kernel_plan_rejects_other_points_and_grids():
+    g = build_grid(*GRIDS["non_dyadic"])
+    om = vorticity(g, "hill")
+    pts = boundary_points(g)
+    plan = KernelPlan(g, pts)
+    for other in (pts[:10], pts + [0.0, 1e-3]):
+        with pytest.raises(ValueError, match="plan for other points"):
+            kernel_stream_values(om, other, plan)
+    other = build_grid(50, 70, 2.3, -1.7, 1.8)
+    with pytest.raises(ValueError, match="plan for another grid"):
+        kernel_stream_values(vorticity(other, "hill"), pts, plan)
+
+
+def test_grid_and_its_boundary_plan_need_no_cycle_collector():
+    # a run's grid and the kernel tables it keeps go when the run ends, not at
+    # the next cyclic collection, which a kernel-boundary run may never start
+    g = build_grid(16, 32, 3.0, -3.0, 3.0)
+    assert g.kernel_boundary_plan is g.kernel_boundary_plan
+    ref = weakref.ref(g)
+    gc.disable()
+    try:
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()

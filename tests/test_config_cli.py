@@ -330,10 +330,11 @@ def test_checkpoint_restart_mismatch_exits_1(tmp_path, capsys, key, overrides):
     assert f"config key {key!r}" in capsys.readouterr().err
 
 
-def _split_run(tmp_path, scheme):
+def _split_run(tmp_path, scheme, **overrides):
     """An uninterrupted 20-step run and its restart from step 10, as (whole, restart) dirs."""
     doc = base_doc(grid={"nr": 32, "nz": 64, "r_max": 3.0, "z_min": -3.0, "z_max": 3.0},
                    nu=1e-2, dt=0.01, tfinal=0.2, checkpoint_every=10, scheme=scheme)
+    doc.update(overrides)
     whole, restart = tmp_path / "whole", tmp_path / "restart"
     run_from_config(doc, str(whole))
     ckpt = {"kind": "checkpoint", "path": str(whole / "checkpoint_000010.axf1")}
@@ -343,19 +344,23 @@ def _split_run(tmp_path, scheme):
 
 def test_split_run_reproduces_the_uninterrupted_run(tmp_path):
     # the conservative route keeps no velocity history, so a restart from a
-    # checkpoint takes exactly the uninterrupted run's steps
-    whole, restart = _split_run(tmp_path, "omega_conservative")
-    for name in ("checkpoint_000020.axf1", "checkpoint_final.axf1"):
-        assert (restart / name).read_bytes() == (whole / name).read_bytes()
-    with open(whole / "diagnostics.csv", encoding="utf-8") as f:
-        whole_rows = list(csv.DictReader(f))
-    with open(restart / "diagnostics.csv", encoding="utf-8") as f:
-        restart_rows = list(csv.DictReader(f))
-    assert len(restart_rows) == 11 and float(restart_rows[0]["t"]) == pytest.approx(0.1)
-    # energy_deficit is measured from each run's first state
-    for a, b in zip(whole_rows[10:], restart_rows, strict=True):
-        del a["energy_deficit"], b["energy_deficit"]
-        assert a == b
+    # checkpoint takes exactly the uninterrupted run's steps; with kernel
+    # boundary data the restart's fresh grid builds its own kernel plan
+    kernel = {"grid": {"nr": 16, "nz": 32, "r_max": 3.0, "z_min": -3.0, "z_max": 3.0},
+              "boundary": "kernel"}
+    for case, overrides in (("zero", {}), ("kernel", kernel)):
+        whole, restart = _split_run(tmp_path / case, "omega_conservative", **overrides)
+        for name in ("checkpoint_000020.axf1", "checkpoint_final.axf1"):
+            assert (restart / name).read_bytes() == (whole / name).read_bytes(), case
+        with open(whole / "diagnostics.csv", encoding="utf-8") as f:
+            whole_rows = list(csv.DictReader(f))
+        with open(restart / "diagnostics.csv", encoding="utf-8") as f:
+            restart_rows = list(csv.DictReader(f))
+        assert len(restart_rows) == 11 and float(restart_rows[0]["t"]) == pytest.approx(0.1)
+        # energy_deficit is measured from each run's first state
+        for a, b in zip(whole_rows[10:], restart_rows, strict=True):
+            del a["energy_deficit"], b["energy_deficit"]
+            assert a == b, case
 
 
 def test_split_run_xi_route_close_to_the_uninterrupted_run(tmp_path):
