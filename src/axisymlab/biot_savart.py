@@ -19,8 +19,9 @@ Two independent routes are provided.
    kernel_stream_values reads its kernel values from a KernelPlan, which
    groups the points by radius and evaluates each distinct kernel argument
    once, exactly (see its docstring).  The grid keeps the plan of its outer
-   faces, so the boundary data cost about nr^2 nz kernel evaluations once
-   per grid, and each solve only gathers and sums the tabulated terms.
+   faces, so the boundary data cost about nr^2 nz / 2 kernel evaluations
+   once per grid, and each solve sums the tabulated terms in two dense
+   contractions per stack of tables.
 
 Boundary conditions for the solve: psi = 0 on the axis (enforced through a
 one-sided axis closure consistent with psi ~ c r^2) and psi = 0 (or
@@ -244,13 +245,15 @@ class KernelPlan:
     The kernel depends on z - zbar only through (z - zbar)^2, so points with
     the same r need one kernel value per cell row and distinct |z - zbar|.
     The plan groups the points by exact r (points with r <= 0 form no
-    group) and keeps, per group, the point indices, each point's offset
-    index per grid column, and the ring_stream table over every cell row
-    and the group's distinct offsets.  The entry of a point's own cell
-    centre is 0.  For the outer faces of a uniform grid the r = r_max face
-    is one group and the two z faces share one group per cell radius, so
-    the tables hold (nr + 1) nr nz doubles: 4 MiB at 64x128 and 268 MiB at
-    256x512.
+    group); groups whose points have the same heights share their offsets
+    and each point's offset index per grid column, so their ring_stream
+    tables, over every cell row and the distinct offsets, are stacked.  The
+    entry of a point's own cell centre is 0.  For the outer faces of a
+    uniform grid the r = r_max face is one stack of one group, and the two
+    z faces are one stack with a group per cell radius.  That stack is
+    symmetric bit for bit under r <-> rbar, so each unordered radius pair is
+    evaluated once and mirrored.  The tables hold (nr + 1) nr nz doubles:
+    4 MiB at 64x128 and 268 MiB at 256x512.
     """
 
     def __init__(self, grid: HalfPlaneGrid, points):
@@ -258,26 +261,32 @@ class KernelPlan:
         # a reference back would leave both to the cyclic garbage collector
         self.grid_fields = astuple(grid)
         self.points = _query_points(points)
-        self.groups = []  # (point indices, offset indices (points, nz), table (nr, offsets))
+        # (point indices (radii, points), offset indices (points, nz),
+        #  tables (radii, nr, offsets)), one entry per set of heights
+        self.stacks = []
         rbar = grid.r_centers[:, None]
         radii, group = np.unique(self.points[:, 0], return_inverse=True)
-        for k, rq in enumerate(radii):
-            if rq <= 0.0:
-                continue
+        heights = {}
+        for k in np.flatnonzero(radii > 0.0):
             sel = np.flatnonzero(group == k)
-            dz = np.abs(self.points[sel, 1, None] - grid.z_centers)
+            heights.setdefault(self.points[sel, 1].tobytes(), []).append(sel)
+        for sels in heights.values():
+            sel = np.array(sels)
+            dz = np.abs(self.points[sel[0], 1, None] - grid.z_centers)
             offsets, inv = np.unique(dz, return_inverse=True)
-            table = ring_stream(rq, offsets, rbar, 0.0)
-            table[np.isinf(table)] = 0.0  # a query on a cell centre skips that cell
-            self.groups.append((sel, inv.reshape(dz.shape), table))
-
-
-# kernel_stream_values gathers at most this many terms (64 KiB) at a time,
-# unless one point's terms are more; 512 KiB blocks were no faster and raised
-# the peak RSS of a 64x128 kernel-boundary run by about 1 MiB.  The budget
-# bounds one call's gather; the grid's boundary plan keeps its tables, about
-# 4 MiB at 64x128, for as long as the grid lives.
-_GATHER_BUDGET = 1 << 13
+            stack_radii = self.points[sel[:, 0], 0]
+            # T[g, i] == T[i, g] bit for bit when the radii are the cell
+            # radii, since 4 r rbar and (r - rbar)^2 commute exactly
+            mirror = np.array_equal(stack_radii, grid.r_centers)
+            tables = np.empty((sel.shape[0], grid.nr, offsets.size))
+            for g, rq in enumerate(stack_radii):
+                lo = g if mirror else 0
+                table = tables[g, lo:]
+                table[...] = ring_stream(rq, offsets, rbar[lo:], 0.0)
+                table[np.isinf(table)] = 0.0  # a query on a cell centre skips that cell
+                if mirror:
+                    tables[g + 1 :, g] = tables[g, g + 1 :]
+            self.stacks.append((sel, inv.reshape(dz.shape), tables))
 
 
 def kernel_stream_values(
@@ -296,12 +305,18 @@ def kernel_stream_values(
     The kernel values come from plan, the KernelPlan of these points on
     omega's grid (ValueError if it is another grid's or other points');
     without one, a plan is built for this call, which tabulates every cell
-    row and column, not only the bounding box.  Each call gathers every
-    point's terms from the tables cut to the bounding box.  The table
-    entries are bit-identical to the terms of the plain per-cell sum; only
-    the summation order differs.  On a uniform grid the outer-boundary
-    points share most offsets, so about nr^2 nz kernel values replace
-    (2 nr + nz) nr nz, and the grid's plan
+    row and column, not only the bounding box.  Each stack of the plan is
+    summed by two dense contractions over the bounding box, in the order
+    with fewer multiply-adds for its shapes: rows first (each table against
+    the box's vorticity, then every point picks its offset per column),
+    when many points share a radius; or bins first (each point's vorticity
+    binned by its offset per row, then one product with the stacked
+    tables), when few do.  Both run in numpy's own loops (einsum, bincount),
+    not in BLAS, whose sums change in the last bits with its thread count.
+    The table entries are bit-identical to the terms of the plain per-cell
+    sum; only the summation order differs.  On a uniform grid the
+    outer-boundary points share most offsets, so about nr^2 nz / 2 kernel
+    values replace (2 nr + nz) nr nz, and the grid's plan
     (HalfPlaneGrid.kernel_boundary_plan) evaluates them once per grid.
     """
     if plan is None:
@@ -314,14 +329,29 @@ def kernel_stream_values(
     rows, cols = (np.flatnonzero(np.any(omega.values != 0.0, axis=a)) for a in (1, 0))
     if rows.size == 0:
         return out
-    box_rows, box_cols = slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
-    gamma = omega.values[box_rows, box_cols] * omega.grid.cell_area
-    step = max(_GATHER_BUDGET // gamma.size, 1)  # points per gather
-    for sel, inv, table in plan.groups:
-        table, inv = table[box_rows], inv[:, box_cols]
-        for s in range(0, sel.size, step):
-            terms = table[:, inv[s : s + step]]  # (rows, points, columns)
-            out[sel[s : s + step]] = np.einsum("ipj,ij->p", terms, gamma)
+    r0, r1, c0, c1 = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
+    gamma = omega.values[r0:r1, c0:c1] * omega.grid.cell_area
+    n_rows, n_cols = gamma.shape
+    for sel, inv, tables in plan.stacks:
+        (n_radii, n_points), n_offsets = sel.shape, tables.shape[2]
+        inv = inv[:, c0:c1]
+        # multiply-adds of each order; bins first also fills its bins
+        rows_first = n_radii * n_offsets * gamma.size
+        bins_first = (n_radii + 1) * n_points * n_rows * n_offsets + n_points * gamma.size
+        if rows_first <= bins_first:
+            # C[g, o, j] = sum_i T[g, i, o] gamma[i, j]
+            C = np.einsum("gio,ij->goj", tables[:, r0:r1], gamma)
+            out[sel] = C[:, inv, np.arange(n_cols)].sum(axis=2)
+        else:
+            # W[q, i, o] = sum of gamma[i, j] over the columns j where point
+            # q has offset o; bincount adds the duplicate offsets
+            bins = (np.arange(n_points)[:, None, None] * n_rows + np.arange(n_rows)[:, None]) * n_offsets
+            bins = bins + inv[:, None, :]
+            W = np.bincount(bins.ravel(), np.broadcast_to(gamma, bins.shape).ravel(),
+                            n_points * n_rows * n_offsets)
+            # the box's rows of each table are one contiguous run
+            box = tables.reshape(n_radii, -1)[:, r0 * n_offsets : r1 * n_offsets]
+            out[sel] = np.einsum("gk,qk->gq", box, W.reshape(n_points, -1))
     return out
 
 

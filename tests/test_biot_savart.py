@@ -17,7 +17,7 @@ from axisymlab.biot_savart import (
     stream_operator_radial,
     velocity_from_stream,
 )
-from axisymlab.biot_savart import _GATHER_BUDGET, _kernel_boundary_rhs
+from axisymlab.biot_savart import _kernel_boundary_rhs
 from axisymlab.grid import ScalarField, build_grid
 from axisymlab.initial_conditions import (
     hill_vortex_stream,
@@ -328,39 +328,11 @@ def test_kernel_boundary_rhs_matches_per_face_assembly(grid_name, support):
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
-def _reference_kernel_stream_values(omega, points):
-    """The per-call loop that kernel_stream_values ran before kernel plans,
-    kept as the oracle: per radius, a table over the rows and offsets of the
-    vorticity's bounding box, gathered and summed in the same order."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    out = np.zeros(points.shape[0])
-    rows, cols = (np.flatnonzero(np.any(omega.values != 0.0, axis=a)) for a in (1, 0))
-    if rows.size == 0:
-        return out
-    grid = omega.grid
-    box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
-    gamma = omega.values[box] * grid.cell_area
-    rbar = grid.r_centers[box[0], None]
-    zbar = grid.z_centers[box[1]]
-    step = max(_GATHER_BUDGET // gamma.size, 1)
-    radii, group = np.unique(points[:, 0], return_inverse=True)
-    for k, rq in enumerate(radii):
-        if rq <= 0.0:
-            continue
-        sel = np.flatnonzero(group == k)
-        dz = np.abs(points[sel, 1, None] - zbar)
-        offsets, inv = np.unique(dz, return_inverse=True)
-        inv = inv.reshape(dz.shape)
-        table = ring_stream(rq, offsets, rbar, 0.0)
-        table[np.isinf(table)] = 0.0
-        for s in range(0, sel.size, step):
-            terms = table[:, inv[s : s + step]]
-            out[sel[s : s + step]] = np.einsum("ipj,ij->p", terms, gamma)
-    return out
-
-
 @pytest.mark.parametrize("support", ["hill", "gaussian"])
 def test_kernel_plan_reproduces_the_per_call_sum(support):
+    # a reused plan, a plan built for one call and the grid's boundary plan
+    # sum in the same order, so they agree bit for bit; the order is not the
+    # plain per-cell sum's, which they match to round-off
     g = build_grid(*GRIDS["non_dyadic"])
     om = vorticity(g, support)
     rng = np.random.default_rng(7)
@@ -371,12 +343,49 @@ def test_kernel_plan_reproduces_the_per_call_sum(support):
     plan = KernelPlan(g, pts)
     # the second field's bounding box is another part of the plan's tables
     for field in (om, om.with_values(-0.5 * np.roll(om.values, 7, axis=1))):
-        want = _reference_kernel_stream_values(field, pts).tobytes()
-        assert kernel_stream_values(field, pts).tobytes() == want
-        assert kernel_stream_values(field, pts, plan).tobytes() == want
+        once = kernel_stream_values(field, pts)
+        assert kernel_stream_values(field, pts, plan).tobytes() == once.tobytes()
+        want = direct_stream_values(field, pts)
+        assert np.all(np.abs(once - want) <= 1e-13 * np.abs(want))
     boundary = g.kernel_boundary_plan
-    want = _reference_kernel_stream_values(om, boundary_points(g)).tobytes()
+    want = kernel_stream_values(om, boundary_points(g)).tobytes()
     assert kernel_stream_values(om, boundary.points, boundary).tobytes() == want
+
+
+def test_kernel_plan_tables_are_the_per_radius_tables():
+    # the z faces' tables are evaluated for each unordered pair of radii and
+    # mirrored; every entry must still be the kernel value of its own pair
+    for args in (GRIDS["non_dyadic"], (24, 48, 3.0, -3.0, 3.0)):
+        g = build_grid(*args)
+        plan = g.kernel_boundary_plan
+        assert [tables.shape[0] for _, _, tables in plan.stacks] == [g.nr, 1]
+        for sel, _, tables in plan.stacks:
+            dz = np.abs(plan.points[sel[0], 1, None] - g.z_centers)
+            offsets = np.unique(dz)
+            for rq, table in zip(plan.points[sel[:, 0], 0], tables, strict=True):
+                want = ring_stream(rq, offsets, g.r_centers[:, None], 0.0)
+                want[np.isinf(want)] = 0.0
+                assert table.tobytes() == want.tobytes()
+
+
+def test_kernel_stream_values_add_repeated_offsets_over_the_whole_grid():
+    # on a grid symmetric about z = 0, a query at z = 0 sees every offset
+    # |z - zbar| twice; vorticity round-off-small but nonzero in every cell,
+    # as after one diffusive step, makes the bounding box the whole grid
+    g = build_grid(24, 48, 3.0, -3.0, 3.0)
+    tail = 1e-17 * (1.0 + np.random.default_rng(3).random((g.nr, g.nz)))
+    om = vorticity(g, "hill")
+    om = om.with_values(om.values + tail)
+    assert np.all(om.values != 0.0)
+    mid = np.column_stack([g.r_centers[[2, 9, 17]] + 0.01, np.zeros(3)])
+    pts = np.vstack([boundary_points(g), mid, [[1.3, 0.0]]])
+    plan = KernelPlan(g, pts)
+    repeated = [inv for _, inv, _ in plan.stacks if inv.shape[0] == 1]
+    assert repeated and all(np.unique(inv).size == g.nz // 2 for inv in repeated)
+    got = kernel_stream_values(om, pts, plan)
+    want = direct_stream_values(om, pts)
+    assert np.all(want > 0.0)
+    assert np.max(np.abs(got - want) / want) <= 1e-13
 
 
 def test_kernel_plan_rejects_other_points_and_grids():

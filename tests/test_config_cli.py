@@ -363,6 +363,31 @@ def test_split_run_reproduces_the_uninterrupted_run(tmp_path):
             assert a == b, case
 
 
+def test_kernel_run_is_the_same_with_one_blas_thread(tmp_path):
+    # the kernel boundary sums run in numpy's own loops, so a kernel-boundary
+    # run here and one in a fresh interpreter with BLAS pinned to one thread
+    # (the benchmark's setting) write the same bytes
+    doc = base_doc(grid={"nr": 16, "nz": 32, "r_max": 3.0, "z_min": -3.0, "z_max": 3.0},
+                   nu=1e-2, dt=0.01, tfinal=0.05, checkpoint_every=2,
+                   scheme="omega_conservative", boundary="kernel")
+    config = write_config(tmp_path, doc)
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    assert cli_main(["run", "--config", config, "--out", str(here)]) == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(axisymlab.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    second = subprocess.run(
+        [sys.executable, "-m", "axisymlab.cli", "run", "--config", config, "--out", str(fresh)],
+        capture_output=True, text=True, env=env,
+    )
+    assert second.returncode == 0, second.stderr
+    names = sorted(os.listdir(here))
+    assert names == sorted(os.listdir(fresh))
+    assert "checkpoint_000004.axf1" in names
+    for name in names:
+        assert (here / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
 def test_split_run_xi_route_close_to_the_uninterrupted_run(tmp_path):
     # AXF1 holds no velocity history, so the restart's first step advects
     # with the start-of-step velocity instead of the midpoint extrapolation
