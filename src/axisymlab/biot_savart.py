@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass
 
 import numpy as np
-from scipy.special import ellipe, ellipkm1
 
 from .grid import HalfPlaneGrid, ScalarField, VelocityField, ddr, ddz
 from .separable import apply_separable, flux_form_radial, solve_separable
@@ -124,6 +123,8 @@ def _filament_stream_factor(k2: np.ndarray, km1: np.ndarray):
     accuracy near k = 1.  Returns F together with the masked parts
     (small, k2s, km1s, K, E) that F'(k) is built from.
     """
+    from scipy.special import ellipe, ellipkm1
+
     k2 = np.asarray(k2, dtype=np.float64)
     km1 = np.asarray(km1, dtype=np.float64)
     small = k2 < 1e-3

@@ -16,6 +16,11 @@ splits into nz independent tridiagonal systems in r, solved together by one
 Thomas sweep vectorized over the modes.  This is the fast direct method of
 Buzbee, Golub & Nielson (SIAM J. Numer. Anal. 7 (1970) 627), as in FISHPACK.
 
+The orthonormal transforms and their inverses take one numpy.fft.rfft or
+irfft of length nz each, after Makhoul's even/odd reorder (J. Makhoul, IEEE
+Trans. Acoust. Speech Signal Process. 28 (1980) 27), so the solver, and with
+it the zero-boundary stream solve and every diffusion, needs numpy only.
+
 Elimination without pivoting is safe.  Each radial stencil the lab passes is
 R = D S with D a positive diagonal and S symmetric positive semidefinite
 (the flux form makes S symmetric; its off-diagonals are nonpositive and its
@@ -48,6 +53,75 @@ def flux_form_radial(cell: np.ndarray, face: np.ndarray):
     return lower, -(lower + upper), upper
 
 
+def _check_operands(x, radial, z_bc: str) -> None:
+    """Raise ValueError unless z_bc is known and x is (nr, nz) for radial of length nr."""
+    if z_bc not in ("dirichlet", "neumann"):
+        raise ValueError(f"unknown z closure {z_bc!r}")
+    if np.ndim(x) != 2 or np.shape(x)[:1] != np.shape(radial[1]):
+        raise ValueError(f"array of shape {np.shape(x)} does not match radial coefficients "
+                         f"of shape {np.shape(radial[1])}; need (nr, nz) for nr coefficients")
+
+
+def _twiddle(n: int) -> np.ndarray:
+    """exp(-i pi k / 2n) for k = 0..n//2, times the orthonormal DCT-II scale."""
+    tw = np.sqrt(2.0 / n) * np.exp((-0.5j * np.pi / n) * np.arange(n // 2 + 1))
+    tw[0] *= np.sqrt(0.5)
+    return tw
+
+
+def _forward(x: np.ndarray, dst: bool) -> np.ndarray:
+    """Orthonormal DCT-II (dst False) or DST-II (dst True) of each row of x.
+
+    Makhoul's reorder: v holds the even samples, then the odd samples
+    reversed, and Re(tw_k V_k), V = rfft(v), is the DCT-II at k; the upper
+    half n - k comes from -Im(tw_k V_k).  The DST-II is the DCT-II of
+    (-1)^j x with its output reversed, so the sign goes on the odd samples
+    and the reversal into the view that takes the output.
+    """
+    n = x.shape[1]
+    half = (n + 1) // 2
+    v = np.empty(x.shape)
+    v[:, :half] = x[:, ::2]
+    odd = x[:, 1::2][:, ::-1]
+    if dst:
+        np.negative(odd, out=v[:, half:])
+    else:
+        v[:, half:] = odd
+    V = np.fft.rfft(v, axis=1)
+    V *= _twiddle(n)
+    cos = v[:, ::-1] if dst else v  # rfft has read v, so v takes the output
+    cos[:, : n // 2 + 1] = V.real
+    np.negative(V.imag[:, 1:half], out=cos[:, n - 1 : n // 2 : -1])
+    return v
+
+
+def _inverse(X: np.ndarray, dst: bool) -> np.ndarray:
+    """The inverse of _forward: its steps backwards, with one irfft.
+
+    V_k = (X_k - i X_{n-k}) / tw_k, with X_n = 0; for even n the Nyquist
+    term k = n/2 is its own mirror.
+    """
+    n = X.shape[1]
+    half = (n + 1) // 2
+    cos = X[:, ::-1] if dst else X
+    V = np.empty((X.shape[0], n // 2 + 1), dtype=complex)
+    V.real = cos[:, : n // 2 + 1]
+    V.imag[:, 0] = 0.0
+    np.negative(cos[:, n - 1 : n // 2 : -1], out=V.imag[:, 1:half])
+    if n % 2 == 0:
+        np.negative(cos[:, n // 2], out=V.imag[:, n // 2])
+    V *= 1.0 / _twiddle(n)  # a product costs less than a complex quotient
+    v = np.fft.irfft(V, n, axis=1)
+    out = np.empty(X.shape)
+    out[:, ::2] = v[:, :half]
+    odd = v[:, half:][:, ::-1]
+    if dst:
+        np.negative(odd, out=out[:, 1::2])
+    else:
+        out[:, 1::2] = odd
+    return out
+
+
 def solve_separable(
     rhs: np.ndarray,
     radial,
@@ -63,23 +137,17 @@ def solve_separable(
     "neumann" (zero flux).  The caller guarantees the system is nonsingular;
     see the module docstring for the conditions.
     """
-    # deferred import: scipy.fft adds tens of ms to `import axisymlab`
-    from scipy import fft
-
+    _check_operands(rhs, radial, z_bc)
     nz = rhs.shape[1]
-    if z_bc == "dirichlet":
-        forward, inverse, modes = fft.dst, fft.idst, np.arange(1, nz + 1)
-    elif z_bc == "neumann":
-        forward, inverse, modes = fft.dct, fft.idct, np.arange(nz)
-    else:
-        raise ValueError(f"unknown z closure {z_bc!r}")
+    dst = z_bc == "dirichlet"
+    modes = np.arange(1, nz + 1) if dst else np.arange(nz)
     lam = (2.0 * np.sin(0.5 * np.pi * modes / nz) / hz) ** 2
     lower, diag, upper = radial
     lower = scale * lower
     upper = scale * upper
     main = shift + scale * (diag[:, None] + lam[None, :])
 
-    x = forward(rhs, type=2, axis=1, norm="ortho")
+    x = _forward(rhs, dst)
     c = np.empty_like(x)
     pivot = main[0]
     c[0] = upper[0] / pivot
@@ -90,7 +158,7 @@ def solve_separable(
         x[i] = (x[i] - lower[i] * x[i - 1]) / pivot
     for i in range(x.shape[0] - 2, -1, -1):
         x[i] -= c[i] * x[i + 1]
-    return inverse(x, type=2, axis=1, norm="ortho")
+    return _inverse(x, dst)
 
 
 def apply_separable(x: np.ndarray, radial, hz: float, z_bc: str) -> np.ndarray:
@@ -99,8 +167,7 @@ def apply_separable(x: np.ndarray, radial, hz: float, z_bc: str) -> np.ndarray:
     radial and z_bc are as in solve_separable; the z closures put the ghost
     value -x (Dirichlet) or x (zero flux) beyond each end.
     """
-    if z_bc not in ("dirichlet", "neumann"):
-        raise ValueError(f"unknown z closure {z_bc!r}")
+    _check_operands(x, radial, z_bc)
     lower, diag, upper = radial
     ghost = -1.0 if z_bc == "dirichlet" else 1.0
     ext = np.concatenate([ghost * x[:, :1], x, ghost * x[:, -1:]], axis=1)

@@ -4,10 +4,15 @@ Each implicit operator is assembled column by column on a small grid from
 apply_separable and its radial coefficients, which apply A directly with no
 z transform and no sweep; np.linalg.solve on that dense matrix is the oracle
 for the fast route.  The coefficients themselves are checked against
-analytic results in test_biot_savart and test_evolution.
+analytic results in test_biot_savart and test_evolution.  The numpy z
+transforms are checked against scipy.fft, and fresh interpreters check
+which runs load scipy at all.
 """
 
+import ast
+import json
 import os
+import re
 import subprocess
 import sys
 
@@ -19,7 +24,7 @@ from axisymlab.biot_savart import solve_stream_function, stream_operator_radial
 from axisymlab.evolution import _xi_diffusion_radial, diffuse_relative_vorticity, diffuse_vorticity
 from axisymlab.grid import ScalarField, build_grid
 from axisymlab.lagrangian import _diffuse_dual
-from axisymlab.separable import apply_separable, solve_separable
+from axisymlab.separable import _forward, _inverse, apply_separable, solve_separable
 
 NR, NZ = 6, 10
 NU, DT = 0.3, 0.2
@@ -129,12 +134,67 @@ def test_solve_separable_rejects_unknown_closure():
         stream_operator_radial(g, "open")
 
 
-def test_import_does_not_load_scipy_fft():
-    # the solver imports scipy.fft on first use, which keeps it out of the
-    # package import time
-    code = "import axisymlab, sys; print('scipy.fft' in sys.modules)"
+def test_solve_separable_rejects_mismatched_shapes():
+    # unchecked, a short rhs is solved as a truncated system and a 1-D one
+    # fails with an IndexError
+    radial = stream_operator_radial(build_grid(8, 8, 2.0, -1.0, 1.0))
+    for bad in (np.ones((5, 8)), np.ones(8)):
+        for call in (lambda: solve_separable(bad, radial, 0.25, "dirichlet"),
+                     lambda: apply_separable(bad, radial, 0.25, "neumann")):
+            with pytest.raises(ValueError, match=re.escape(f"{bad.shape}") + ".*" + re.escape("(8,)")):
+                call()
+
+
+@pytest.mark.parametrize("nz", (1, 2, 3, 4, 7, 128, 192, 193, 512))
+@pytest.mark.parametrize("z_bc", ("dirichlet", "neumann"))
+def test_z_transforms_match_scipy_fft(z_bc, nz):
+    from scipy import fft
+
+    dst = z_bc == "dirichlet"
+    forward, inverse = (fft.dst, fft.idst) if dst else (fft.dct, fft.idct)
+    x = np.random.default_rng(nz).standard_normal((5, nz))
+    got = _forward(x, dst)
+    assert got.flags.c_contiguous
+    assert _rel(got, forward(x, type=2, axis=1, norm="ortho")) <= 1e-14
+    got = _inverse(x, dst)
+    assert got.flags.c_contiguous
+    assert _rel(got, inverse(x, type=2, axis=1, norm="ortho")) <= 1e-14
+    assert _rel(_inverse(_forward(x, dst), dst), x) <= 1e-14
+
+
+def _scipy_modules_after(code):
+    """The scipy modules loaded once code has run in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(axisymlab.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env)
-    assert out.stdout.strip() == "False"
+    code += "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return ast.literal_eval(done.stdout.strip().splitlines()[-1])
+
+
+def _run_code(tmp_path, **overrides):
+    doc = {"grid": {"nr": 16, "nz": 32, "r_max": 3.0, "z_min": -3.0, "z_max": 3.0},
+           "nu": 1e-2, "dt": 0.01, "tfinal": 0.05, "scheme": "xi_semilagrangian",
+           "initial_condition": {"kind": "gaussian_ring", "r0": 1.0, "z0": 0.0,
+                                 "sigma": 0.3, "amplitude": 1.0},
+           "p_list": [1.0, 2.0]}
+    doc.update(overrides)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    argv = ["run", "--config", str(config), "--out", str(tmp_path / "run")]
+    return f"from axisymlab import cli_main\nassert cli_main({argv!r}) == 0"
+
+
+def test_import_does_not_load_scipy():
+    assert _scipy_modules_after("import axisymlab") == []
+
+
+@pytest.mark.parametrize("scheme", ("xi_semilagrangian", "omega_conservative"))
+def test_zero_boundary_run_does_not_load_scipy(tmp_path, scheme):
+    assert _scipy_modules_after(_run_code(tmp_path, scheme=scheme)) == []
+
+
+def test_kernel_boundary_run_loads_scipy_special(tmp_path):
+    code = _run_code(tmp_path, scheme="omega_conservative", boundary="kernel")
+    assert "scipy.special" in _scipy_modules_after(code)
