@@ -15,13 +15,12 @@ Two independent routes are provided.
 2. Kernel route: direct summation of the circular-filament kernel written
    with complete elliptic integrals, used for validation and for optional
    inhomogeneous boundary data on the truncated domain.  kernel_velocity
-   sums over every nonzero cell, O(N) per evaluation point.
-   kernel_stream_values reads its kernel values from a KernelPlan, which
-   groups the points by radius and evaluates each distinct kernel argument
-   once, exactly (see its docstring).  The grid keeps the plan of its outer
-   faces, so the boundary data cost about nr^2 nz / 2 kernel evaluations
-   once per grid, and each solve sums the tabulated terms in two dense
-   contractions per stack of tables.
+   and kernel_stream_values sum over every nonzero cell, O(N) per
+   evaluation point.  The kernel depends on z - zbar only through
+   |z - zbar| and is symmetric under r <-> rbar, so on the three outer faces
+   of a uniform grid two tables hold every kernel value the boundary data
+   need (BoundaryTables): about nr^2 nz / 2 evaluations, once per grid.
+   Each solve sums them in two contractions per table.
 
 Boundary conditions for the solve: psi = 0 on the axis (enforced through a
 one-sided axis closure consistent with psi ~ c r^2) and psi = 0 (or
@@ -30,7 +29,7 @@ kernel-evaluated data) on the three outer boundaries.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -191,16 +190,10 @@ def ring_velocity(r, z, rbar, zbar):
 
 
 def _source_cells(omega: ScalarField):
-    grid = omega.grid
+    """(rbar, zbar, omega * cell_area) of the nonzero cells."""
     mask = omega.values != 0.0
-    if not np.any(mask):
-        return None
-    r2d, z2d = grid.meshes()
-    return (
-        r2d[mask],
-        z2d[mask],
-        omega.values[mask] * grid.cell_area,
-    )
+    r2d, z2d = omega.grid.meshes()
+    return r2d[mask], z2d[mask], omega.values[mask] * omega.grid.cell_area
 
 
 def _query_points(points) -> np.ndarray:
@@ -227,11 +220,8 @@ def kernel_velocity(omega: ScalarField, points: np.ndarray) -> np.ndarray:
     if np.any(points[:, 0] <= 0.0):
         raise ValueError("kernel evaluation requires r > 0 query points")
     grid = omega.grid
-    src = _source_cells(omega)
+    rbar, zbar, gamma = _source_cells(omega)
     out = np.zeros_like(points)
-    if src is None:
-        return out
-    rbar, zbar, gamma = src
     for i, (rq, zq) in enumerate(points):
         ur, uz = ring_velocity(rq, zq, rbar, zbar)
         keep = (np.abs(rbar - rq) >= 0.5 * grid.hr) | (np.abs(zbar - zq) >= 0.5 * grid.hz)
@@ -240,119 +230,79 @@ def kernel_velocity(omega: ScalarField, points: np.ndarray) -> np.ndarray:
     return out
 
 
-class KernelPlan:
-    """The filament-kernel tables of a set of query points on one grid.
+class BoundaryTables:
+    """The filament-kernel tables of the three outer faces of one grid.
 
-    The kernel depends on z - zbar only through (z - zbar)^2, so points with
-    the same r need one kernel value per cell row and distinct |z - zbar|.
-    The plan groups the points by exact r (points with r <= 0 form no
-    group); groups whose points have the same heights share their offsets
-    and each point's offset index per grid column, so their ring_stream
-    tables, over every cell row and the distinct offsets, are stacked.  The
-    entry of a point's own cell centre is 0.  For the outer faces of a
-    uniform grid the r = r_max face is one stack of one group, and the two
-    z faces are one stack with a group per cell radius.  That stack is
-    symmetric bit for bit under r <-> rbar, so each unordered radius pair is
-    evaluated once and mirrored.  The tables hold (nr + 1) nr nz doubles:
-    4 MiB at 64x128 and 268 MiB at 256x512.
+    The kernel depends on z - zbar only through |z - zbar| and is symmetric
+    under r <-> rbar.  side[k, m] = ring_stream(r_max, z_m - z_0, rbar_k, 0)
+    serves the r = r_max face: its point j reads cell (k, j') at the lag
+    |j - j'|.  ends[i, k, o] = ring_stream(r_i, d_o, rbar_k, 0) serves both
+    z faces, d being the distinct distances |z_min - z_m| and |z_max - z_m|;
+    columns[q, m] is the index in d of face q's distance to column m.  ends
+    is evaluated once per unordered pair of radii and mirrored, which is exact
+    because 4 r rbar and (r - rbar)^2 commute bit for bit, so a grid costs
+    nr + 1 ring_stream calls.  The entries are the per-cell sum's terms bit
+    for bit, except that a lag z_m - z_0 can differ from z_j - z_j' in the
+    last bit.  The tables hold (nr + 1) nr nz doubles when the two z faces
+    share their distances (d has nz entries, as on the 64x128 and 256x512
+    grids symmetric about z = 0; at most 2 nz otherwise): 4 MiB at 64x128
+    and 268 MiB at 256x512.  They keep no reference to the grid, which keeps
+    them, so neither waits for the cyclic garbage collector.
     """
 
-    def __init__(self, grid: HalfPlaneGrid, points):
-        # the grid's fields, not the grid: a grid keeps its boundary plan, and
-        # a reference back would leave both to the cyclic garbage collector
-        self.grid_fields = astuple(grid)
-        self.points = _query_points(points)
-        # (point indices (radii, points), offset indices (points, nz),
-        #  tables (radii, nr, offsets)), one entry per set of heights
-        self.stacks = []
-        rbar = grid.r_centers[:, None]
-        radii, group = np.unique(self.points[:, 0], return_inverse=True)
-        heights = {}
-        for k in np.flatnonzero(radii > 0.0):
-            sel = np.flatnonzero(group == k)
-            heights.setdefault(self.points[sel, 1].tobytes(), []).append(sel)
-        for sels in heights.values():
-            sel = np.array(sels)
-            dz = np.abs(self.points[sel[0], 1, None] - grid.z_centers)
-            offsets, inv = np.unique(dz, return_inverse=True)
-            stack_radii = self.points[sel[:, 0], 0]
-            # T[g, i] == T[i, g] bit for bit when the radii are the cell
-            # radii, since 4 r rbar and (r - rbar)^2 commute exactly
-            mirror = np.array_equal(stack_radii, grid.r_centers)
-            tables = np.empty((sel.shape[0], grid.nr, offsets.size))
-            for g, rq in enumerate(stack_radii):
-                lo = g if mirror else 0
-                table = tables[g, lo:]
-                table[...] = ring_stream(rq, offsets, rbar[lo:], 0.0)
-                table[np.isinf(table)] = 0.0  # a query on a cell centre skips that cell
-                if mirror:
-                    tables[g + 1 :, g] = tables[g, g + 1 :]
-            self.stacks.append((sel, inv.reshape(dz.shape), tables))
+    def __init__(self, grid: HalfPlaneGrid):
+        rc, zc = grid.r_centers, grid.z_centers
+        self.side = ring_stream(grid.r_max, zc - zc[0], rc[:, None], 0.0)
+        dist = np.abs(np.array([[grid.z_min], [grid.z_max]]) - zc)
+        offsets, columns = np.unique(dist, return_inverse=True)
+        self.columns = columns.reshape(dist.shape)
+        self.ends = np.empty((grid.nr, grid.nr, offsets.size))
+        for i, r in enumerate(rc):
+            self.ends[i, i:] = ring_stream(r, offsets, rc[i:, None], 0.0)
+            self.ends[i + 1 :, i] = self.ends[i, i + 1 :]
+
+    def stream_values(self, gamma: np.ndarray) -> np.ndarray:
+        """The kernel sums of the cell circulations gamma (nr, nz) at the
+        points of _outer_face_points, in its order."""
+        nr, nz = gamma.shape
+        # lagged[m, j'] = sum_k side[k, m] gamma[k, j']; point j reads lag |j - j'|
+        lagged = np.einsum("km,kj->mj", self.side, gamma)
+        j = np.arange(nz)
+        side = lagged[np.abs(j[:, None] - j), j].sum(axis=1)
+        # binned[q, k, o]: gamma[k, m] at face q's distance index o = columns[q, m]
+        binned = np.zeros((2, nr, self.ends.shape[2]))
+        for face, cols in zip(binned, self.columns):
+            face[:, cols] = gamma
+        ends = np.einsum("ik,qk->qi", self.ends.reshape(nr, -1), binned.reshape(2, -1))
+        return np.concatenate([side, ends.ravel()])
 
 
-def kernel_stream_values(
-    omega: ScalarField, points: np.ndarray, plan: KernelPlan | None = None
-) -> np.ndarray:
+def kernel_stream_values(omega: ScalarField, points: np.ndarray) -> np.ndarray:
     """Stream-function values at query points by kernel summation over cells.
 
     points is (n, 2) with finite columns (r, z); any other shape or a
     non-finite point raises ValueError.  A point with r <= 0 gets 0.  The
     value at (r, z) is the midpoint sum of
-    ring_stream(r, z, rbar, zbar) * omega * cell_area over the cells, taken
-    over the bounding box of the nonzero vorticity (cells inside the box
-    with zero vorticity add exactly 0).  A query exactly at a cell centre
-    leaves that one cell out, because its filament passes through the point.
+    ring_stream(r, z, rbar, zbar) * omega * cell_area over the nonzero cells.
+    A query exactly at a cell centre leaves that one cell out, because its
+    filament passes through the point.
 
-    The kernel values come from plan, the KernelPlan of these points on
-    omega's grid (ValueError if it is another grid's or other points');
-    without one, a plan is built for this call, which tabulates every cell
-    row and column, not only the bounding box.  Each stack of the plan is
-    summed by two dense contractions over the bounding box, in the order
-    with fewer multiply-adds for its shapes: rows first (each table against
-    the box's vorticity, then every point picks its offset per column),
-    when many points share a radius; or bins first (each point's vorticity
-    binned by its offset per row, then one product with the stacked
-    tables), when few do.  Both run in numpy's own loops (einsum, bincount),
-    not in BLAS, whose sums change in the last bits with its thread count.
-    The table entries are bit-identical to the terms of the plain per-cell
-    sum; only the summation order differs.  On a uniform grid the
-    outer-boundary points share most offsets, so about nr^2 nz / 2 kernel
-    values replace (2 nr + nz) nr nz, and the grid's plan
-    (HalfPlaneGrid.kernel_boundary_plan) evaluates them once per grid.
+    The grid's outer-face points (_outer_face_points) read their terms from
+    the grid's BoundaryTables (HalfPlaneGrid.kernel_boundary_plan), built
+    once per grid, and sum them over every cell in numpy's own loops
+    (einsum), not in BLAS, whose sums change in the last bits with its
+    thread count; they equal the per-cell sum to round-off.
     """
-    if plan is None:
-        plan = KernelPlan(omega.grid, points)
-    elif plan.grid_fields != astuple(omega.grid):
-        raise ValueError("kernel plan for another grid")
-    elif not np.array_equal(plan.points, points):
-        raise ValueError("kernel plan for other points")
-    out = np.zeros(plan.points.shape[0])
-    rows, cols = (np.flatnonzero(np.any(omega.values != 0.0, axis=a)) for a in (1, 0))
-    if rows.size == 0:
-        return out
-    r0, r1, c0, c1 = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
-    gamma = omega.values[r0:r1, c0:c1] * omega.grid.cell_area
-    n_rows, n_cols = gamma.shape
-    for sel, inv, tables in plan.stacks:
-        (n_radii, n_points), n_offsets = sel.shape, tables.shape[2]
-        inv = inv[:, c0:c1]
-        # multiply-adds of each order; bins first also fills its bins
-        rows_first = n_radii * n_offsets * gamma.size
-        bins_first = (n_radii + 1) * n_points * n_rows * n_offsets + n_points * gamma.size
-        if rows_first <= bins_first:
-            # C[g, o, j] = sum_i T[g, i, o] gamma[i, j]
-            C = np.einsum("gio,ij->goj", tables[:, r0:r1], gamma)
-            out[sel] = C[:, inv, np.arange(n_cols)].sum(axis=2)
-        else:
-            # W[q, i, o] = sum of gamma[i, j] over the columns j where point
-            # q has offset o; bincount adds the duplicate offsets
-            bins = (np.arange(n_points)[:, None, None] * n_rows + np.arange(n_rows)[:, None]) * n_offsets
-            bins = bins + inv[:, None, :]
-            W = np.bincount(bins.ravel(), np.broadcast_to(gamma, bins.shape).ravel(),
-                            n_points * n_rows * n_offsets)
-            # the box's rows of each table are one contiguous run
-            box = tables.reshape(n_radii, -1)[:, r0 * n_offsets : r1 * n_offsets]
-            out[sel] = np.einsum("gk,qk->gq", box, W.reshape(n_points, -1))
+    points = _query_points(points)
+    grid = omega.grid
+    if np.array_equal(points, _outer_face_points(grid)):
+        return grid.kernel_boundary_plan.stream_values(omega.values * grid.cell_area)
+    rbar, zbar, gamma = _source_cells(omega)
+    out = np.zeros(points.shape[0])
+    for i, (rq, zq) in enumerate(points):
+        if rq > 0.0:
+            keep = (rbar != rq) | (zbar != zq)
+            out[i] = np.sum(ring_stream(rq, zq, rbar[keep], zbar[keep]) * gamma[keep])
     return out
 
 
@@ -371,15 +321,13 @@ def _kernel_boundary_rhs(omega: ScalarField) -> np.ndarray:
     outer boundary faces (ghost = 2 g - interior).
 
     One kernel_stream_values call covers the three faces through the grid's
-    plan, so the two z faces share their kernel tables.
+    BoundaryTables.
     """
     grid = omega.grid
     nr, nz = grid.nr, grid.nz
-    rc = grid.r_centers
-    plan = grid.kernel_boundary_plan
-    g = kernel_stream_values(omega, plan.points, plan)
+    g = kernel_stream_values(omega, _outer_face_points(grid))
     rhs = np.zeros((nr, nz))
-    rhs[nr - 1, :] += 2.0 * rc[-1] * g[:nz] / (grid.hr**2 * grid.r_max)
+    rhs[nr - 1, :] += 2.0 * grid.r_centers[-1] * g[:nz] / (grid.hr**2 * grid.r_max)
     rhs[:, 0] += 2.0 * g[nz : nz + nr] / grid.hz**2
     rhs[:, nz - 1] += 2.0 * g[nz + nr :] / grid.hz**2
     return rhs

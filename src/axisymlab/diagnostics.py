@@ -332,8 +332,8 @@ def decay_rate_fit(records, p: float, q, window=None) -> RateFit:
 
 
 def _ball_mask(grid, R: float):
-    if R <= 0.0:
-        raise ValueError("ball radius must be positive")
+    if not (0.0 < R < np.inf):
+        raise ValueError(f"ball radius must be positive and finite, got {R}")
     if R > grid.r_max or R > grid.z_max or R > -grid.z_min:
         raise ValueError(
             f"ball of radius {R} exceeds the truncated domain "

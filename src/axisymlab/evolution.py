@@ -376,8 +376,8 @@ class TimeStepPlan:
     def validated(self) -> "TimeStepPlan":
         if self.dt is not None and not (0.0 < self.dt < np.inf):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if self.dt_max is not None and self.dt_max <= 0.0:
-            raise ValueError(f"dt_max must be positive, got {self.dt_max}")
+        if self.dt_max is not None and not (0.0 < self.dt_max < np.inf):
+            raise ValueError(f"dt_max must be positive and finite, got {self.dt_max}")
         if self.scheme not in ("xi_semilagrangian", "omega_conservative"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.sample_every < 1:
@@ -386,8 +386,8 @@ class TimeStepPlan:
             raise ValueError(f"theta must lie in [0.5, 1], got {self.theta}")
         if not (0.0 < self.cfl <= 1.0):
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.blowup_limit <= 0.0:
-            raise ValueError("blowup_limit must be positive")
+        if not (0.0 < self.blowup_limit < np.inf):
+            raise ValueError(f"blowup_limit must be positive and finite, got {self.blowup_limit}")
         return self
 
 

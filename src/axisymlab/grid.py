@@ -63,12 +63,12 @@ class HalfPlaneGrid:
 
     @cached_property
     def kernel_boundary_plan(self):
-        """The biot_savart.KernelPlan of the three outer faces' boundary
-        points: built by the first kernel-boundary stream solve on this grid
-        and kept as long as the grid."""
-        from .biot_savart import KernelPlan, _outer_face_points  # biot_savart imports this module
+        """The biot_savart.BoundaryTables of the three outer faces: built by
+        the first kernel-boundary stream solve on this grid and kept as long
+        as the grid."""
+        from .biot_savart import BoundaryTables  # biot_savart imports this module
 
-        return KernelPlan(self, _outer_face_points(self))
+        return BoundaryTables(self)
 
     @property
     def cell_area(self) -> float:

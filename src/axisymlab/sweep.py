@@ -87,8 +87,9 @@ def sweep(
         raise ConfigError(f"sweep needs at least 4 viscosities, got {len(nus)}")
     if any(b >= a for a, b in zip(nus, nus[1:])):
         raise ConfigError(f"sweep viscosities must be strictly decreasing, got {nus}")
-    if any(v <= 0.0 for v in nus):
-        raise ConfigError("sweep viscosities must be positive")
+    # NaN passes the order check above, since every comparison with it is False
+    if not all(0.0 < v < np.inf for v in nus):
+        raise ConfigError(f"sweep viscosities must be positive and finite, got {nus}")
     doc = dict(base_config)
     doc["nu"] = nus[0]
     config = RunConfig.from_dict(doc)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from axisymlab.biot_savart import (
-    KernelPlan,
     check_divergence,
     kernel_decay_check,
     kernel_stream_values,
@@ -261,12 +260,17 @@ def boundary_points(g):
 
 
 def vorticity(g, support):
-    # Hill's vortex vanishes outside its sphere; the Gaussian ring nowhere
-    if support == "hill":
-        xi = hill_vortex_xi(g, 0.8, 1.0)
-    else:
+    # Hill's vortex vanishes outside its sphere; the Gaussian ring nowhere.
+    # hill_tail adds round-off-small vorticity to every cell, as one
+    # diffusive step does, so every solve after the first sums the whole grid
+    if support == "gaussian":
         xi = gaussian_ring_xi(g, 1.0, 0.1, 0.3, 1.0)
-    return ScalarField(g, g.r_col * xi.values, role="vorticity")
+    else:
+        xi = hill_vortex_xi(g, 0.8, 1.0)
+    omega = g.r_col * xi.values
+    if support == "hill_tail":
+        omega = omega + 1e-17 * (1.0 + np.random.default_rng(3).random(omega.shape))
+    return ScalarField(g, omega, role="vorticity")
 
 
 GRIDS = {
@@ -275,7 +279,7 @@ GRIDS = {
 }
 
 
-@pytest.mark.parametrize("support", ["hill", "gaussian"])
+@pytest.mark.parametrize("support", ["hill", "gaussian", "hill_tail"])
 @pytest.mark.parametrize("grid_name", sorted(GRIDS))
 def test_kernel_stream_values_boundary_matches_direct_sum(grid_name, support):
     g = build_grid(*GRIDS[grid_name])
@@ -283,6 +287,7 @@ def test_kernel_stream_values_boundary_matches_direct_sum(grid_name, support):
     assert (np.count_nonzero(om.values) < om.values.size) == (support == "hill")
     pts = boundary_points(g)
     got = kernel_stream_values(om, pts)
+    assert "kernel_boundary_plan" in vars(g)  # the faces read the grid's tables
     want = direct_stream_values(om, pts)
     assert np.all(want > 0.0)
     assert np.max(np.abs(got - want) / want) <= 1e-13
@@ -294,8 +299,8 @@ def test_kernel_stream_values_scattered_points_match_direct_sum(support):
     om = vorticity(g, support)
     rng = np.random.default_rng(5)
     scattered = np.column_stack([rng.uniform(0.01, 2.5, 40), rng.uniform(-2.0, 2.0, 40)])
-    # shared radii, cell centres inside and outside the support (the middle
-    # one inside Hill's bounding box), and points on or left of the axis
+    # shared radii, cell centres inside and outside the support, and points
+    # on or left of the axis
     shared = np.column_stack([np.full(6, 1.1), rng.uniform(-1.0, 1.0, 6)])
     centres = np.array([[g.r_centers[i], g.z_centers[j]] for i, j in ((10, 35), (16, 47), (45, 60))])
     axis = np.array([[0.0, 0.2], [-0.3, -0.1]])
@@ -309,7 +314,7 @@ def test_kernel_stream_values_scattered_points_match_direct_sum(support):
     assert np.array_equal(got[-3:], got[:3])
 
 
-@pytest.mark.parametrize("support", ["hill", "gaussian"])
+@pytest.mark.parametrize("support", ["hill", "gaussian", "hill_tail"])
 @pytest.mark.parametrize("grid_name", sorted(GRIDS))
 def test_kernel_boundary_rhs_matches_per_face_assembly(grid_name, support):
     g = build_grid(*GRIDS[grid_name])
@@ -330,75 +335,75 @@ def test_kernel_boundary_rhs_matches_per_face_assembly(grid_name, support):
 
 @pytest.mark.parametrize("support", ["hill", "gaussian"])
 def test_kernel_plan_reproduces_the_per_call_sum(support):
-    # a reused plan, a plan built for one call and the grid's boundary plan
-    # sum in the same order, so they agree bit for bit; the order is not the
-    # plain per-cell sum's, which they match to round-off
+    # the grid's boundary tables, built by the first face call, serve every
+    # later call and every other field bit for bit as on a fresh grid; face
+    # and off-face values match the plain per-cell sum to round-off
     g = build_grid(*GRIDS["non_dyadic"])
     om = vorticity(g, support)
     rng = np.random.default_rng(7)
     scattered = np.column_stack([rng.uniform(0.01, 2.5, 20), rng.uniform(-2.0, 2.0, 20)])
-    # a cell centre inside Hill's bounding box, and points on or left of the axis
-    special = [[g.r_centers[16], g.z_centers[47]], [0.0, 0.2], [-0.3, 0.1]]
-    pts = np.vstack([boundary_points(g), scattered, special])
-    plan = KernelPlan(g, pts)
-    # the second field's bounding box is another part of the plan's tables
+    # a cell centre inside Hill's support, and points on or left of the axis
+    special = np.array([[g.r_centers[16], g.z_centers[47]], [0.0, 0.2], [-0.3, 0.1]])
+    faces = boundary_points(g)
+    # the second field's support is another part of the tables
     for field in (om, om.with_values(-0.5 * np.roll(om.values, 7, axis=1))):
-        once = kernel_stream_values(field, pts)
-        assert kernel_stream_values(field, pts, plan).tobytes() == once.tobytes()
-        want = direct_stream_values(field, pts)
-        assert np.all(np.abs(once - want) <= 1e-13 * np.abs(want))
-    boundary = g.kernel_boundary_plan
-    want = kernel_stream_values(om, boundary_points(g)).tobytes()
-    assert kernel_stream_values(om, boundary.points, boundary).tobytes() == want
+        fresh = build_grid(*GRIDS["non_dyadic"])
+        once = kernel_stream_values(ScalarField(fresh, field.values, role="vorticity"), faces)
+        for pts in (faces, np.vstack([scattered, special])):
+            first = kernel_stream_values(field, pts)
+            assert kernel_stream_values(field, pts).tobytes() == first.tobytes()
+            want = direct_stream_values(field, pts)
+            assert np.all(np.abs(first - want) <= 1e-13 * np.abs(want))
+        assert kernel_stream_values(field, faces).tobytes() == once.tobytes()
+    assert g.kernel_boundary_plan is g.kernel_boundary_plan
 
 
-def test_kernel_plan_tables_are_the_per_radius_tables():
-    # the z faces' tables are evaluated for each unordered pair of radii and
+def test_boundary_tables_are_the_kernel_values_of_their_pairs():
+    # the z faces' table is evaluated for each unordered pair of radii and
     # mirrored; every entry must still be the kernel value of its own pair
-    for args in (GRIDS["non_dyadic"], (24, 48, 3.0, -3.0, 3.0)):
+    for args in GRIDS.values():
         g = build_grid(*args)
-        plan = g.kernel_boundary_plan
-        assert [tables.shape[0] for _, _, tables in plan.stacks] == [g.nr, 1]
-        for sel, _, tables in plan.stacks:
-            dz = np.abs(plan.points[sel[0], 1, None] - g.z_centers)
-            offsets = np.unique(dz)
-            for rq, table in zip(plan.points[sel[:, 0], 0], tables, strict=True):
-                want = ring_stream(rq, offsets, g.r_centers[:, None], 0.0)
-                want[np.isinf(want)] = 0.0
-                assert table.tobytes() == want.tobytes()
+        tables = g.kernel_boundary_plan
+        rc, zc = g.r_centers, g.z_centers
+        want = ring_stream(g.r_max, zc - zc[0], rc[:, None], 0.0)
+        assert tables.side.tobytes() == want.tobytes()
+        dist = np.abs(np.array([[g.z_min], [g.z_max]]) - zc)
+        offsets = np.unique(dist)
+        assert np.array_equal(offsets[tables.columns], dist)
+        want = ring_stream(rc[:, None, None], offsets, rc[:, None], 0.0)
+        assert tables.ends.shape == want.shape
+        assert tables.ends.tobytes() == want.tobytes()
 
 
 def test_kernel_stream_values_add_repeated_offsets_over_the_whole_grid():
     # on a grid symmetric about z = 0, a query at z = 0 sees every offset
-    # |z - zbar| twice; vorticity round-off-small but nonzero in every cell,
-    # as after one diffusive step, makes the bounding box the whole grid
+    # |z - zbar| twice, and a point of the r = r_max face reads most lags
+    # |j - j'| twice; vorticity round-off-small but nonzero in every cell, as
+    # after one diffusive step, puts every cell in both sums
     g = build_grid(24, 48, 3.0, -3.0, 3.0)
-    tail = 1e-17 * (1.0 + np.random.default_rng(3).random((g.nr, g.nz)))
-    om = vorticity(g, "hill")
-    om = om.with_values(om.values + tail)
+    om = vorticity(g, "hill_tail")
     assert np.all(om.values != 0.0)
     mid = np.column_stack([g.r_centers[[2, 9, 17]] + 0.01, np.zeros(3)])
-    pts = np.vstack([boundary_points(g), mid, [[1.3, 0.0]]])
-    plan = KernelPlan(g, pts)
-    repeated = [inv for _, inv, _ in plan.stacks if inv.shape[0] == 1]
-    assert repeated and all(np.unique(inv).size == g.nz // 2 for inv in repeated)
-    got = kernel_stream_values(om, pts, plan)
-    want = direct_stream_values(om, pts)
-    assert np.all(want > 0.0)
-    assert np.max(np.abs(got - want) / want) <= 1e-13
+    for pts in (boundary_points(g), np.vstack([mid, [[1.3, 0.0]]])):
+        got = kernel_stream_values(om, pts)
+        want = direct_stream_values(om, pts)
+        assert np.all(want > 0.0)
+        assert np.max(np.abs(got - want) / want) <= 1e-13
 
 
-def test_kernel_plan_rejects_other_points_and_grids():
+def test_other_points_and_grids_are_summed_per_cell():
+    # only the grid's own outer-face points read its tables: a part of them,
+    # points near them and the faces of another grid take the per-cell sum
     g = build_grid(*GRIDS["non_dyadic"])
     om = vorticity(g, "hill")
     pts = boundary_points(g)
-    plan = KernelPlan(g, pts)
-    for other in (pts[:10], pts + [0.0, 1e-3]):
-        with pytest.raises(ValueError, match="plan for other points"):
-            kernel_stream_values(om, other, plan)
     other = build_grid(50, 70, 2.3, -1.7, 1.8)
-    with pytest.raises(ValueError, match="plan for another grid"):
-        kernel_stream_values(vorticity(other, "hill"), pts, plan)
+    for field, query in ((om, pts[:10]), (om, pts + [0.0, 1e-3]),
+                         (vorticity(other, "hill"), pts)):
+        got = kernel_stream_values(field, query)
+        want = direct_stream_values(field, query)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+    assert "kernel_boundary_plan" not in vars(g) and "kernel_boundary_plan" not in vars(other)
 
 
 def test_grid_and_its_boundary_plan_need_no_cycle_collector():

@@ -345,7 +345,7 @@ def _split_run(tmp_path, scheme, **overrides):
 def test_split_run_reproduces_the_uninterrupted_run(tmp_path):
     # the conservative route keeps no velocity history, so a restart from a
     # checkpoint takes exactly the uninterrupted run's steps; with kernel
-    # boundary data the restart's fresh grid builds its own kernel plan
+    # boundary data the restart's fresh grid builds its own kernel tables
     kernel = {"grid": {"nr": 16, "nz": 32, "r_max": 3.0, "z_min": -3.0, "z_max": 3.0},
               "boundary": "kernel"}
     for case, overrides in (("zero", {}), ("kernel", kernel)):
@@ -490,6 +490,16 @@ _NAN_OVERRIDES = {
                                             amplitude=float("nan"))},
 }
 
+_LADDER = "1e-2,5e-3,2.5e-3,1.25e-3"
+# (--nus, --ball-radius); a NaN compares False with every bound, so it must
+# be rejected by name before the first member runs
+_BAD_SWEEPS = {
+    "ball-radius-negative": (_LADDER, "-1"),
+    "ball-radius-too-large": (_LADDER, "10"),
+    "ball-radius-nan": (_LADDER, "nan"),
+    "nus-nan": ("4e-2,nan,1e-2,5e-3", "1"),
+}
+
 
 def _bad_input_argv(tmp_path, case):
     """argv of one CLI call whose outside input is malformed."""
@@ -506,11 +516,10 @@ def _bad_input_argv(tmp_path, case):
             doc = base_doc(**(_NAN_OVERRIDES[name] if kind == "nan"
                               else {"initial_condition": _BAD_ICS[name]}))
         return ["run", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]
-    if case.startswith("ball-radius"):
-        radius = "-1" if case.endswith("negative") else "10"
+    if case in _BAD_SWEEPS:
+        nus, radius = _BAD_SWEEPS[case]
         return ["sweep", "--config", write_config(tmp_path, sweep_doc()),
-                "--nus", "1e-2,5e-3,2.5e-3,1.25e-3", "--out", str(tmp_path / "s"),
-                "--ball-radius", radius]
+                "--nus", nus, "--out", str(tmp_path / "s"), "--ball-radius", radius]
     route, header = case.split("-", 1)
     ckpt = tmp_path / "bad.axf1"
     ckpt.write_bytes((json.dumps(_BAD_HEADERS[header]) + "\n").encode("utf-8")
@@ -526,7 +535,7 @@ def _bad_input_argv(tmp_path, case):
     *(f"config-ic-{name}" for name in _BAD_ICS),
     *(f"config-malformed-{name}" for name in _MALFORMED),
     *(f"{route}-{header}" for route in ("diag", "restart") for header in _BAD_HEADERS),
-    "ball-radius-negative", "ball-radius-too-large",
+    *_BAD_SWEEPS,
 ])
 def test_cli_bad_outside_input_exits_1(tmp_path, capsys, case):
     assert cli_main(_bad_input_argv(tmp_path, case)) == 1

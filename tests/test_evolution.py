@@ -326,6 +326,11 @@ def test_plan_validation():
         TimeStepPlan(sample_every=0).validated()
     with pytest.raises(ValueError):
         TimeStepPlan(dt_max=0.0).validated()
+    # a NaN limit would turn the blow-up guard off: m > nan is always False
+    for bad in ({"dt_max": float("nan")}, {"dt_max": float("inf")},
+                {"blowup_limit": float("nan")}, {"blowup_limit": float("inf")}):
+        with pytest.raises(ValueError, match="positive and finite"):
+            TimeStepPlan(**bad).validated()
     st_plan = TimeStepPlan(dt=0.1).validated()
     assert st_plan.dt == 0.1
 
