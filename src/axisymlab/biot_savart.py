@@ -30,17 +30,32 @@ kernel-evaluated data) on the three outer boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .grid import HalfPlaneGrid, ScalarField, VelocityField, ddr, ddz
-from .separable import apply_separable, flux_form_radial, solve_separable
+from .separable import apply_separable, flux_form_radial
 
 
-@dataclass
 class EllipticSolveReport:
-    iterations: int
-    residual: float
+    """iterations, always 0 for the direct solve, and residual, the relative
+    residual |B psi - b| / |b| in the 1/r-weighted norm.  The residual costs
+    one application of B, so it is computed when first read, from the
+    solve's psi and b; a step that only wants the velocity never pays it."""
+
+    def __init__(self, grid: HalfPlaneGrid, psi: np.ndarray, b: np.ndarray):
+        self.iterations = 0
+        self._grid, self._psi, self._b = grid, psi, b
+
+    @cached_property
+    def residual(self) -> float:
+        grid, psi, b = self._grid, self._psi, self._b
+        bnorm = np.sqrt(np.sum(b * b / grid.r_col))
+        if not bnorm > 0.0:
+            return 0.0
+        resid = apply_separable(psi, stream_operator_radial(grid), grid.hz, "dirichlet") - b
+        return float(np.sqrt(np.sum(resid * resid / grid.r_col)) / bnorm)
 
 
 class StreamFunction(ScalarField):
@@ -55,7 +70,7 @@ def stream_operator_radial(grid: HalfPlaneGrid, outer_r: str = "dirichlet"):
     flux (1/r) dpsi/dr |_{r=0} ~= 8 psi_0 / hr^2, exact for psi = c r^2;
     outer_r selects a homogeneous Dirichlet (ghost = -value) or zero-flux
     closure at r_max.  With the z closure, these coefficients define B for
-    separable.apply_separable and separable.solve_separable.
+    separable.apply_separable and separable.SeparableOperator.
     """
     hr = grid.hr
     r = grid.r_centers
@@ -73,12 +88,12 @@ def stream_operator_radial(grid: HalfPlaneGrid, outer_r: str = "dirichlet"):
 def solve_stream_function(omega: ScalarField, boundary: str = "zero"):
     """Solve B psi = r omega for the stream function of a vorticity field.
 
-    A separable direct solve (see separable.py), exact up to round-off.
-    boundary = "kernel" evaluates the summation kernel on the outer boundary
-    faces and uses it as inhomogeneous Dirichlet data, which removes most
+    A separable direct solve with the grid's factored B
+    (HalfPlaneGrid.stream_operator), exact up to round-off.  boundary =
+    "kernel" evaluates the summation kernel on the outer boundary faces and
+    uses it as inhomogeneous Dirichlet data, which removes most
     domain-truncation error.  Returns (StreamFunction, EllipticSolveReport);
-    the report holds only the measured relative residual |B psi - b| / |b|
-    in the 1/r-weighted norm and iterations, always 0 for the direct solve.
+    the report's residual is computed when first read.
     """
     if boundary not in ("zero", "kernel"):
         raise ValueError(f"unknown boundary treatment {boundary!r}")
@@ -86,12 +101,8 @@ def solve_stream_function(omega: ScalarField, boundary: str = "zero"):
     b = grid.r_col * omega.values
     if boundary == "kernel":
         b = b + _kernel_boundary_rhs(omega)
-    radial = stream_operator_radial(grid)
-    psi = solve_separable(b, radial, grid.hz, "dirichlet")
-    bnorm = np.sqrt(np.sum(b * b / grid.r_col))
-    resid = apply_separable(psi, radial, grid.hz, "dirichlet") - b
-    relres = float(np.sqrt(np.sum(resid * resid / grid.r_col)) / bnorm) if bnorm > 0.0 else 0.0
-    return StreamFunction(grid, psi), EllipticSolveReport(0, relres)
+    psi = grid.stream_operator.solve(b)
+    return StreamFunction(grid, psi), EllipticSolveReport(grid, psi, b)
 
 
 def velocity_from_stream(psi: StreamFunction) -> VelocityField:

@@ -90,6 +90,28 @@ def enstrophy_identity_residual(u: VelocityField, xi: ScalarField) -> float:
     return abs(g - ens) / ens
 
 
+def _dissipation_parts(xi: ScalarField):
+    """What dissipation_integral needs of xi for every p: |grad xi|^2, the
+    mask of |xi| above its round-off floor, and |xi| with 1 off the mask."""
+    gr, gz = gradient(xi)
+    g2 = gr.values**2 + gz.values**2
+    a = np.abs(xi.values)
+    mask = a > 1e-14 * max(float(np.max(a)), 1e-300)
+    return g2, mask, np.where(mask, a, 1.0)
+
+
+def _dissipation(parts, xi: ScalarField, nu: float, p: float) -> float:
+    """dissipation_integral(xi, nu, p) from _dissipation_parts(xi)."""
+    g2, mask, a = parts
+    if p == 2.0:
+        wg2 = g2  # the weight is 1, and 1 * g2 is g2 bit for bit
+    else:
+        with np.errstate(divide="ignore"):
+            wg2 = np.where(mask, a ** (p - 2.0), 0.0) * g2
+    val = np.sum(wg2 * xi.grid.r_col) * xi.grid.cell_area
+    return float(nu * (p - 1.0) * 2.0 * np.pi * val)
+
+
 def dissipation_integral(xi: ScalarField, nu: float, p: float) -> float:
     """nu (p-1) * 2 pi * integral |xi|^{p-2} |grad xi|^2 r d(r,z).
 
@@ -100,19 +122,7 @@ def dissipation_integral(xi: ScalarField, nu: float, p: float) -> float:
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    grid = xi.grid
-    gr, gz = gradient(xi)
-    g2 = gr.values**2 + gz.values**2
-    a = np.abs(xi.values)
-    if p == 2.0:
-        w = np.ones_like(a)
-    else:
-        floor = 1e-14 * max(float(np.max(a)), 1e-300)
-        mask = a > floor
-        with np.errstate(divide="ignore"):
-            w = np.where(mask, np.where(mask, a, 1.0) ** (p - 2.0), 0.0)
-    val = np.sum(w * g2 * grid.r_col) * grid.cell_area
-    return float(nu * (p - 1.0) * 2.0 * np.pi * val)
+    return _dissipation(_dissipation_parts(xi), xi, nu, p)
 
 
 @dataclass
@@ -137,6 +147,7 @@ def compute_record(state, ps, energy0: float | None = None) -> DiagnosticsRecord
     xi = state.xi
     lp = {p: lp_norm_xi(xi, p) for p in ps}
     e = kinetic_energy(state.u)
+    parts = _dissipation_parts(xi)  # one gradient for every p
     return DiagnosticsRecord(
         t=state.t,
         nu=state.nu,
@@ -146,7 +157,7 @@ def compute_record(state, ps, energy0: float | None = None) -> DiagnosticsRecord
         energy=e,
         enstrophy=enstrophy(xi),
         grad_u_sq=grad_u_sq(state.u),
-        dissipation={p: dissipation_integral(xi, state.nu, p) for p in ps},
+        dissipation={p: _dissipation(parts, xi, state.nu, p) for p in ps},
         energy_deficit=(energy0 - e) if energy0 is not None else 0.0,
     )
 

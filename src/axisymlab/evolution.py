@@ -133,6 +133,11 @@ def _xi_diffusion_radial(grid: HalfPlaneGrid):
     return flux_form_radial(1.0 / (_xi_volumes(grid)[:, 0] * hr), face)
 
 
+def _omega_diffusion_radial(grid: HalfPlaneGrid):
+    """R of the r omega diffusion: the stream operator's, zero flux at r_max."""
+    return stream_operator_radial(grid, outer_r="neumann")
+
+
 def diffuse_relative_vorticity(
     xi: ScalarField, nu: float, dt: float, theta: float = 0.5
 ) -> ScalarField:
@@ -144,7 +149,7 @@ def diffuse_relative_vorticity(
     zero-flux closures (DCT-II in z).
     """
     grid = xi.grid
-    sol = theta_step(xi.values, _xi_diffusion_radial(grid), grid.hz, "neumann", nu, dt, theta)
+    sol = theta_step(xi.values, grid, _xi_diffusion_radial, "neumann", nu, dt, theta)
     return xi.with_values(sol)
 
 
@@ -163,8 +168,7 @@ def diffuse_vorticity(
     """
     grid = omega.grid
     r = grid.r_col
-    sol = theta_step(r * omega.values, stream_operator_radial(grid, outer_r="neumann"),
-                     grid.hz, "neumann", nu, dt, theta)
+    sol = theta_step(r * omega.values, grid, _omega_diffusion_radial, "neumann", nu, dt, theta)
     return omega.with_values(sol / r if nu > 0.0 else omega.values.copy())
 
 

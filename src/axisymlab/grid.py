@@ -19,6 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import NonFiniteFieldError
+from .separable import SeparableOperator
 
 # Parity across r = 0 by field role.  "none" means no symmetry is assumed and
 # one-sided differences are used at the axis as well.
@@ -69,6 +70,34 @@ class HalfPlaneGrid:
         from .biot_savart import BoundaryTables  # biot_savart imports this module
 
         return BoundaryTables(self)
+
+    @cached_property
+    def stream_operator(self) -> SeparableOperator:
+        """The stream operator B (biot_savart.stream_operator_radial, Dirichlet
+        in z), factored by the first stream solve on this grid and kept as
+        long as the grid."""
+        from .biot_savart import stream_operator_radial  # biot_savart imports this module
+
+        return SeparableOperator(stream_operator_radial(self), self.hz, self.nz, "dirichlet")
+
+    @cached_property
+    def _diffusion_slots(self) -> dict:
+        return {}
+
+    def diffusion_operator(self, radial, z_bc: str, scale: float) -> SeparableOperator:
+        """The factored implicit diffusion operator 1 + scale (R + T), R = radial(self).
+
+        Each (radial, z_bc), one per lab diffusion, has one slot on the grid.
+        The slot is refactored only when scale differs from the stored one, so
+        the steps of a fixed-dt run share one factorization, and a truncated
+        last step or an adaptive dt refactors.  scale = theta nu dt is finite
+        and positive, where == is bitwise equality.
+        """
+        op = self._diffusion_slots.get((radial, z_bc))
+        if op is None or op.scale != scale:
+            op = SeparableOperator(radial(self), self.hz, self.nz, z_bc, shift=1.0, scale=scale)
+            self._diffusion_slots[(radial, z_bc)] = op
+        return op
 
     @property
     def cell_area(self) -> float:

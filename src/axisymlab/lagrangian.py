@@ -436,7 +436,7 @@ def _diffuse_dual(f: ScalarField, nu: float, dt: float, theta: float = 0.5) -> S
     one direct solve of (1 + theta nu dt B) (DST-II in z).
     """
     grid = f.grid
-    sol = theta_step(f.values, stream_operator_radial(grid), grid.hz, "dirichlet", nu, dt, theta)
+    sol = theta_step(f.values, grid, stream_operator_radial, "dirichlet", nu, dt, theta)
     return f.with_values(sol)
 
 

@@ -9,12 +9,22 @@ where R is a tridiagonal radial stencil applied alike to every z column and
 T is the cell-centered axial second difference -d2/dz2 with either
 homogeneous Dirichlet (ghost = -value) or zero-flux closures at z_min and
 z_max.  The coefficients of R and the z closure are the only definition of
-each operator: apply_separable applies A from them and solve_separable
+each operator: apply_separable applies A from them and SeparableOperator
 inverts it.  T is diagonalized by the DST-II (Dirichlet) or the DCT-II (zero
 flux) along z, with eigenvalues 4 sin^2(pi m / 2 nz) / hz^2; in that basis A
 splits into nz independent tridiagonal systems in r, solved together by one
 Thomas sweep vectorized over the modes.  This is the fast direct method of
 Buzbee, Golub & Nielson (SIAM J. Numer. Anal. 7 (1970) 627), as in FISHPACK.
+
+As there, factoring is kept apart from solving.  A SeparableOperator computes
+the pivots and back-substitution coefficients of its sweep once; each solve
+reuses them in the same operations, so reuse changes no bit of a result.
+The factors live on the grid: HalfPlaneGrid.stream_operator holds B for as
+long as the grid lives, and HalfPlaneGrid.diffusion_operator keeps one slot
+per diffusion (xi, omega, dual), refactored only when theta nu dt changes,
+as on a truncated last step or with an adaptive dt.  solve_separable is the
+one-off construct-and-solve.  The stream solve's residual is computed only
+when its report is read (biot_savart.EllipticSolveReport).
 
 The orthonormal transforms and their inverses take one numpy.fft.rfft or
 irfft of length nz each, after Makhoul's even/odd reorder (J. Makhoul, IEEE
@@ -69,18 +79,19 @@ def _twiddle(n: int) -> np.ndarray:
     return tw
 
 
-def _forward(x: np.ndarray, dst: bool) -> np.ndarray:
+def _forward(x: np.ndarray, dst: bool, out: np.ndarray | None = None) -> np.ndarray:
     """Orthonormal DCT-II (dst False) or DST-II (dst True) of each row of x.
 
     Makhoul's reorder: v holds the even samples, then the odd samples
     reversed, and Re(tw_k V_k), V = rfft(v), is the DCT-II at k; the upper
     half n - k comes from -Im(tw_k V_k).  The DST-II is the DCT-II of
     (-1)^j x with its output reversed, so the sign goes on the odd samples
-    and the reversal into the view that takes the output.
+    and the reversal into the view that takes the output.  out, a
+    C-contiguous float array of x's shape, takes the result if given.
     """
     n = x.shape[1]
     half = (n + 1) // 2
-    v = np.empty(x.shape)
+    v = np.empty(x.shape) if out is None else out
     v[:, :half] = x[:, ::2]
     odd = x[:, 1::2][:, ::-1]
     if dst:
@@ -95,16 +106,17 @@ def _forward(x: np.ndarray, dst: bool) -> np.ndarray:
     return v
 
 
-def _inverse(X: np.ndarray, dst: bool) -> np.ndarray:
+def _inverse(X: np.ndarray, dst: bool, spectrum: np.ndarray | None = None) -> np.ndarray:
     """The inverse of _forward: its steps backwards, with one irfft.
 
     V_k = (X_k - i X_{n-k}) / tw_k, with X_n = 0; for even n the Nyquist
-    term k = n/2 is its own mirror.
+    term k = n/2 is its own mirror.  spectrum, a complex array of shape
+    (rows, n // 2 + 1), holds V if given; the result is always a new array.
     """
     n = X.shape[1]
     half = (n + 1) // 2
     cos = X[:, ::-1] if dst else X
-    V = np.empty((X.shape[0], n // 2 + 1), dtype=complex)
+    V = np.empty((X.shape[0], n // 2 + 1), dtype=complex) if spectrum is None else spectrum
     V.real = cos[:, : n // 2 + 1]
     V.imag[:, 0] = 0.0
     np.negative(cos[:, n - 1 : n // 2 : -1], out=V.imag[:, 1:half])
@@ -122,49 +134,80 @@ def _inverse(X: np.ndarray, dst: bool) -> np.ndarray:
     return out
 
 
-def solve_separable(
-    rhs: np.ndarray,
-    radial,
-    hz: float,
-    z_bc: str,
-    shift: float = 0.0,
-    scale: float = 1.0,
-) -> np.ndarray:
-    """Solve shift * x + scale * (R x + T x) = rhs for x of shape (nr, nz).
+class SeparableOperator:
+    """shift * x + scale * (R x + T x) on (nr, nz) arrays, factored once for many solves.
 
     radial is (lower, diag, upper) of R, each of length nr; lower[0] and
     upper[-1] are ignored.  z_bc selects the axial closure, "dirichlet" or
     "neumann" (zero flux).  The caller guarantees the system is nonsingular;
     see the module docstring for the conditions.
-    """
-    _check_operands(rhs, radial, z_bc)
-    nz = rhs.shape[1]
-    dst = z_bc == "dirichlet"
-    modes = np.arange(1, nz + 1) if dst else np.arange(nz)
-    lam = (2.0 * np.sin(0.5 * np.pi * modes / nz) / hz) ** 2
-    lower, diag, upper = radial
-    lower = scale * lower
-    upper = scale * upper
-    main = shift + scale * (diag[:, None] + lam[None, :])
 
-    x = _forward(rhs, dst)
-    c = np.empty_like(x)
-    pivot = main[0]
-    c[0] = upper[0] / pivot
-    x[0] /= pivot
-    for i in range(1, x.shape[0]):
-        pivot = main[i] - lower[i] * c[i - 1]
-        c[i] = upper[i] / pivot
-        x[i] = (x[i] - lower[i] * x[i - 1]) / pivot
-    for i in range(x.shape[0] - 2, -1, -1):
-        x[i] -= c[i] * x[i + 1]
-    return _inverse(x, dst)
+    The constructor does the part of the Thomas sweep that does not depend
+    on the right-hand side: the eigenvalues of T, the pivots and the
+    back-substitution coefficients c of every mode, 2 nr nz doubles.  solve
+    runs the rest in the same operations and order as one unfactored sweep,
+    so its result does not depend on how often the factors are reused.  The
+    sweep works in buffers of the operator (one real (nr, nz) array and one
+    complex spectrum), so a solve allocates only the rfft and irfft outputs
+    and the array it returns.
+    """
+
+    def __init__(self, radial, hz: float, nz: int, z_bc: str, shift: float = 0.0,
+                 scale: float = 1.0):
+        if z_bc not in ("dirichlet", "neumann"):
+            raise ValueError(f"unknown z closure {z_bc!r}")
+        self.scale = scale
+        self._dst = z_bc == "dirichlet"
+        modes = np.arange(1, nz + 1) if self._dst else np.arange(nz)
+        lam = (2.0 * np.sin(0.5 * np.pi * modes / nz) / hz) ** 2
+        lower, diag, upper = radial
+        lower = scale * lower
+        upper = scale * upper
+        pivot = shift + scale * (diag[:, None] + lam[None, :])  # main diagonal, then pivots
+        c = np.empty_like(pivot)
+        c[0] = upper[0] / pivot[0]
+        for i in range(1, diag.shape[0]):
+            pivot[i] -= lower[i] * c[i - 1]
+            c[i] = upper[i] / pivot[i]
+        self._work = np.empty_like(pivot)
+        self._spectrum = np.empty((diag.shape[0], nz // 2 + 1), dtype=complex)
+        self._row = np.empty(nz)
+        # each sweep step's operands, paired once: rows of the work buffer
+        # with the factors of their row
+        rows = list(self._work)
+        self._first_pivot = pivot[0]
+        self._down = list(zip(rows[:-1], rows[1:], lower[1:], pivot[1:]))
+        self._up = list(zip(rows[:-1], rows[1:], c[:-1]))[::-1]
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """x with shift * x + scale * (R x + T x) = rhs, as a new (nr, nz) array."""
+        if np.shape(rhs) != self._work.shape:
+            raise ValueError(f"array of shape {np.shape(rhs)} does not match the operator's "
+                             f"shape {self._work.shape}")
+        x = _forward(rhs, self._dst, out=self._work)
+        row = self._row
+        x[0] /= self._first_pivot
+        for prev, cur, lower, pivot in self._down:  # cur = (cur - lower * prev) / pivot
+            np.multiply(lower, prev, out=row)
+            np.subtract(cur, row, out=cur)
+            np.divide(cur, pivot, out=cur)
+        for cur, nxt, c in self._up:  # cur -= c * nxt
+            np.multiply(c, nxt, out=row)
+            np.subtract(cur, row, out=cur)
+        return _inverse(x, self._dst, spectrum=self._spectrum)
+
+
+def solve_separable(rhs: np.ndarray, radial, hz: float, z_bc: str, shift: float = 0.0,
+                    scale: float = 1.0) -> np.ndarray:
+    """Solve shift * x + scale * (R x + T x) = rhs once: SeparableOperator(...).solve(rhs)."""
+    _check_operands(rhs, radial, z_bc)
+    return SeparableOperator(radial, hz, rhs.shape[1], z_bc, shift, scale).solve(rhs)
 
 
 def apply_separable(x: np.ndarray, radial, hz: float, z_bc: str) -> np.ndarray:
-    """(R + T) x for x of shape (nr, nz): the operator that solve_separable inverts.
+    """(R + T) x for x of shape (nr, nz): the operator that SeparableOperator inverts.
 
-    radial and z_bc are as in solve_separable; the z closures put the ghost
+    radial and z_bc are as in SeparableOperator; the z closures put the ghost
     value -x (Dirichlet) or x (zero flux) beyond each end.
     """
     _check_operands(x, radial, z_bc)
@@ -177,14 +220,16 @@ def apply_separable(x: np.ndarray, radial, hz: float, z_bc: str) -> np.ndarray:
     return out
 
 
-def theta_step(values, radial, hz: float, z_bc: str, nu: float, dt: float, theta=0.5):
+def theta_step(values, grid, radial, z_bc: str, nu: float, dt: float, theta=0.5):
     """One theta-scheme step of d_t x = -nu A x (nu >= 0), the step of every lab diffusion.
 
-    A = R + T as in solve_separable, with radial the coefficients of R.  The
-    step (I + theta c A)^-1 (I - (1 - theta) c A) x, c = nu dt, equals
-    (1/theta) (I + theta c A)^-1 x - ((1 - theta)/theta) x, so one solve
-    gives it and A is never applied.  theta = 0.5 is Crank-Nicolson (second
-    order in dt), theta = 1 backward Euler; nu = 0 returns a copy.
+    A = R + T as in SeparableOperator, with radial(grid) the coefficients of
+    R.  The step (I + theta c A)^-1 (I - (1 - theta) c A) x, c = nu dt,
+    equals (1/theta) (I + theta c A)^-1 x - ((1 - theta)/theta) x, so one
+    solve gives it and A is never applied.  The factored I + theta c A comes
+    from grid.diffusion_operator, which keeps it while theta c stays the
+    same.  theta = 0.5 is Crank-Nicolson (second order in dt), theta = 1
+    backward Euler; nu = 0 returns a copy.
     """
     if not (0.0 < dt < np.inf and 0.0 <= nu < np.inf):
         raise ValueError(f"need finite dt > 0 and nu >= 0, got dt = {dt}, nu = {nu}")
@@ -192,5 +237,6 @@ def theta_step(values, radial, hz: float, z_bc: str, nu: float, dt: float, theta
         raise ValueError(f"theta must lie in [0.5, 1], got {theta}")
     if nu == 0.0:
         return values.copy()
-    sol = solve_separable(values / theta, radial, hz, z_bc, shift=1.0, scale=theta * nu * dt)
-    return sol - ((1.0 - theta) / theta) * values
+    sol = grid.diffusion_operator(radial, z_bc, theta * nu * dt).solve(values / theta)
+    sol -= ((1.0 - theta) / theta) * values
+    return sol

@@ -116,6 +116,27 @@ def test_dissipation_integral_properties():
         dissipation_integral(xi, 0.1, 0.5)
 
 
+def test_compute_record_dissipation_is_dissipation_integral():
+    # compute_record shares one gradient across p; each column must keep the
+    # bits of a separate dissipation_integral call and of the per-p formula
+    g = build_grid(48, 96, 3.0, -3.0, 3.0)
+    state = make_state(g, gaussian_ring_xi(g, r0=1.0, z0=0.1, sigma=0.3, amplitude=1.0), nu=0.01)
+    ps = [1.0, 1.5, 2.0, 3.0]
+    rec = compute_record(state, ps)
+    xi = state.xi
+    g2 = ddr(xi.values, g, "even") ** 2 + ddz(xi.values, g) ** 2
+    a = np.abs(xi.values)
+    for p in ps:
+        if p == 2.0:
+            w = np.ones_like(a)
+        else:
+            mask = a > 1e-14 * max(float(np.max(a)), 1e-300)
+            w = np.where(mask, np.where(mask, a, 1.0) ** (p - 2.0), 0.0)
+        formula = float(state.nu * (p - 1.0) * 2.0 * np.pi
+                        * (np.sum(w * g2 * g.r_col) * g.cell_area))
+        assert rec.dissipation[p] == dissipation_integral(xi, state.nu, p) == formula
+
+
 def test_compute_record_and_collector():
     g = build_grid(48, 96, 3.0, -3.0, 3.0)
     xi0 = gaussian_ring_xi(g, r0=1.0, z0=0.0, sigma=0.3, amplitude=1.0)

@@ -530,10 +530,39 @@ def test_state_keeps_its_boundary():
         assert np.array_equal(out.u.u_z, fresh.u.u_z)
 
 
-def test_refresh_velocity_reuses_psi_seed():
+def test_refresh_velocity_reproduces_velocity_bit_for_bit():
     g = build_grid(32, 64, 3.0, -3.0, 3.0)
     xi0 = gaussian_ring_xi(g, 1.0, 0.0, 0.3, 1.0)
     st = make_state(g, xi0, 0.0)
     again = refresh_velocity(st)
     assert np.array_equal(again.u.u_r, st.u.u_r)
     assert np.array_equal(again.u.u_z, st.u.u_z)
+
+
+def test_factored_operators_never_go_stale():
+    # one grid keeps one factored operator per diffusion, refactored when
+    # theta nu dt changes; every call must equal the same call on a fresh grid
+    def grid():
+        return build_grid(16, 32, 3.0, -3.0, 3.0)
+
+    g = grid()
+    values = gaussian_ring_xi(g, 1.0, 0.0, 0.3, 1.0).values
+    diffusions = ((diffuse_relative_vorticity, "relative_vorticity"),
+                  (diffuse_vorticity, "vorticity"), (_diffuse_dual, "dual"))
+    for dt, theta in ((0.02, 0.5), (0.05, 0.5), (0.02, 0.5), (0.02, 1.0), (0.05, 0.5)):
+        for diffuse, role in diffusions:
+            got = diffuse(ScalarField(g, values, role), 0.01, dt, theta)
+            want = diffuse(ScalarField(grid(), values, role), 0.01, dt, theta)
+            assert np.array_equal(got.values, want.values)
+
+    # a truncated last step (0.07 = 3 x 0.02 + 0.01) and adaptive dt (five
+    # steps of varying length for this stronger ring), on both routes, after
+    # the loop above has left other factors in each slot
+    for scheme in ("xi_semilagrangian", "omega_conservative"):
+        for plan, t_final in ((TimeStepPlan(dt=0.02, scheme=scheme), 0.07),
+                              (TimeStepPlan(scheme=scheme, cfl=0.3), 0.05)):
+            got, _ = run(make_state(g, 20.0 * values, 0.01), t_final, plan)
+            want, _ = run(make_state(grid(), 20.0 * values, 0.01), t_final, plan)
+            assert got.step_index == want.step_index >= 3
+            assert np.array_equal(got.xi.values, want.xi.values)
+            assert np.array_equal(got.u.u_r, want.u.u_r)

@@ -3,10 +3,11 @@
 Each implicit operator is assembled column by column on a small grid from
 apply_separable and its radial coefficients, which apply A directly with no
 z transform and no sweep; np.linalg.solve on that dense matrix is the oracle
-for the fast route.  The coefficients themselves are checked against
-analytic results in test_biot_savart and test_evolution.  The numpy z
-transforms are checked against scipy.fft, and fresh interpreters check
-which runs load scipy at all.
+for the fast route.  A factored operator reused for many solves must give
+what a fresh one gives, bit for bit.  The coefficients themselves are
+checked against analytic results in test_biot_savart and test_evolution.
+The numpy z transforms are checked against scipy.fft, and fresh
+interpreters check which runs load scipy at all.
 """
 
 import ast
@@ -24,7 +25,9 @@ from axisymlab.biot_savart import solve_stream_function, stream_operator_radial
 from axisymlab.evolution import _xi_diffusion_radial, diffuse_relative_vorticity, diffuse_vorticity
 from axisymlab.grid import ScalarField, build_grid
 from axisymlab.lagrangian import _diffuse_dual
-from axisymlab.separable import _forward, _inverse, apply_separable, solve_separable
+from axisymlab import biot_savart, evolution
+from axisymlab.separable import (SeparableOperator, _forward, _inverse, apply_separable,
+                                 solve_separable)
 
 NR, NZ = 6, 10
 NU, DT = 0.3, 0.2
@@ -82,6 +85,58 @@ def test_stream_solve_matches_dense():
     psi, rep = solve_stream_function(ScalarField(g, omega, role="vorticity"))
     assert _rel(psi.values, want) <= 1e-12
     assert rep.residual <= 1e-13
+
+
+@pytest.mark.parametrize("outer_r,z_bc,shift,scale", CASES)
+def test_separable_operator_reuses_its_factors_bit_for_bit(outer_r, z_bc, shift, scale):
+    # one operator solving many right-hand sides gives what a fresh operator
+    # gives for each, and never hands out its buffers
+    g = _grid()
+    radial = stream_operator_radial(g, outer_r)
+    op = SeparableOperator(radial, g.hz, NZ, z_bc, shift, scale)
+    rhss = [_rhs(seed) for seed in (7, 8, 9)]
+    got = [op.solve(b) for b in rhss]
+    for b, x in zip(rhss, got):
+        assert np.array_equal(x, SeparableOperator(radial, g.hz, NZ, z_bc, shift, scale).solve(b))
+        assert np.array_equal(x, solve_separable(b, radial, g.hz, z_bc, shift=shift, scale=scale))
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(got) for b in got[i + 1:])
+    with pytest.raises(ValueError, match=re.escape(f"{(NR, NZ + 1)}")):
+        op.solve(np.ones((NR, NZ + 1)))
+
+
+def test_grid_keeps_one_factorization_per_operator():
+    g = _grid()
+    assert g.stream_operator is g.stream_operator
+    radial = _xi_diffusion_radial
+    op = g.diffusion_operator(radial, "neumann", 0.25)
+    assert g.diffusion_operator(radial, "neumann", 0.25) is op
+    other = g.diffusion_operator(radial, "neumann", 0.5)
+    assert other is not op and other.scale == 0.5
+    assert g.diffusion_operator(stream_operator_radial, "dirichlet", 0.5) is not other
+    assert g.diffusion_operator(radial, "neumann", 0.5) is other
+
+
+def test_stream_residual_is_computed_on_read(monkeypatch):
+    # the report applies B only when its residual is read, so a time step,
+    # which drops the report, never does
+    g = _grid()
+    omega = ScalarField(g, _rhs(10), role="vorticity")
+    psi, rep = solve_stream_function(omega)
+    b = g.r_col * omega.values
+    resid = apply_separable(psi.values, stream_operator_radial(g), g.hz, "dirichlet") - b
+    want = float(np.sqrt(np.sum(resid * resid / g.r_col)) / np.sqrt(np.sum(b * b / g.r_col)))
+
+    def refuse(*args):
+        raise AssertionError("B applied")
+
+    monkeypatch.setattr(biot_savart, "apply_separable", refuse)
+    state = evolution.make_state(g, _rhs(11), 0.01)
+    evolution.step_viscous(state, 0.01)
+    evolution.step_conservative_omega(state, 0.01)
+    assert rep.iterations == 0
+    monkeypatch.undo()
+    assert rep.residual == want
+    assert solve_stream_function(omega.with_values(np.zeros((NR, NZ))))[1].residual == 0.0
 
 
 def _theta_step_oracle(lap, values, theta):
