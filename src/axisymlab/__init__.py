@@ -20,7 +20,6 @@ from .grid import (
 )
 from .biot_savart import (
     EllipticSolveReport,
-    StreamFunction,
     check_divergence,
     kernel_decay_check,
     kernel_stream_values,

@@ -58,11 +58,6 @@ class EllipticSolveReport:
         return float(np.sqrt(np.sum(resid * resid / grid.r_col)) / bnorm)
 
 
-class StreamFunction(ScalarField):
-    def __init__(self, grid: HalfPlaneGrid, values: np.ndarray):
-        super().__init__(grid, values, role="stream")
-
-
 def stream_operator_radial(grid: HalfPlaneGrid, outer_r: str = "dirichlet"):
     """Tridiagonal coefficients (lower, diag, upper) of the radial part of B.
 
@@ -92,8 +87,9 @@ def solve_stream_function(omega: ScalarField, boundary: str = "zero"):
     (HalfPlaneGrid.stream_operator), exact up to round-off.  boundary =
     "kernel" evaluates the summation kernel on the outer boundary faces and
     uses it as inhomogeneous Dirichlet data, which removes most
-    domain-truncation error.  Returns (StreamFunction, EllipticSolveReport);
-    the report's residual is computed when first read.
+    domain-truncation error.  Returns (psi, EllipticSolveReport), psi a
+    ScalarField of role "stream"; the report's residual is computed when
+    first read.
     """
     if boundary not in ("zero", "kernel"):
         raise ValueError(f"unknown boundary treatment {boundary!r}")
@@ -102,10 +98,10 @@ def solve_stream_function(omega: ScalarField, boundary: str = "zero"):
     if boundary == "kernel":
         b = b + _kernel_boundary_rhs(omega)
     psi = grid.stream_operator.solve(b)
-    return StreamFunction(grid, psi), EllipticSolveReport(grid, psi, b)
+    return ScalarField(grid, psi, role="stream"), EllipticSolveReport(grid, psi, b)
 
 
-def velocity_from_stream(psi: StreamFunction) -> VelocityField:
+def velocity_from_stream(psi: ScalarField) -> VelocityField:
     grid = psi.grid
     u_r = -ddz(psi.values, grid) / grid.r_col
     u_z = ddr(psi.values, grid, "even") / grid.r_col

@@ -7,9 +7,11 @@ offending key.  Physical parameters (grid, viscosity, final time, scheme,
 initial condition, monitored exponents) have no defaults; only the step
 controls, the boundary treatment and the output cadences do.  RunConfig
 keeps the step controls as one TimeStepPlan (RunConfig.plan, with
-TimeStepPlan's defaults), and RunConfig.initial_state() builds the solved
-starting state, boundary treatment included.  run_from_config executes the
-run and persists
+TimeStepPlan's defaults) and the grid it checked as one HalfPlaneGrid
+(RunConfig.grid), which the run, its replay and every sweep member share,
+factored operators and kernel tables included.  RunConfig.initial_state()
+builds the solved starting state, boundary treatment included.
+run_from_config executes the run and persists
 
     config.json      the document (canonical formatting; a checkpoint path absolute)
     diagnostics.csv  one row per sampled step, fixed column set
@@ -32,7 +34,7 @@ import numpy as np
 from .diagnostics import DiagnosticsCollector, write_csv
 from .evolution import TimeStepPlan, json_number, make_state, read_checkpoint, run, write_checkpoint
 from .exceptions import ConfigError
-from .grid import build_grid
+from .grid import HalfPlaneGrid, build_grid
 from .initial_conditions import _spec_params, make_initial_condition
 
 def _number(kind=float, low=-np.inf):
@@ -123,7 +125,7 @@ class RunConfig:
     """Typed view of a validated config document; build it with from_dict."""
 
     doc: dict  # the validated document, checkpoint path absolute; written to config.json
-    grid: dict
+    grid: HalfPlaneGrid
     nu: float
     tfinal: float
     initial_condition: dict
@@ -142,7 +144,7 @@ class RunConfig:
         """
         try:
             _CONFIG(doc, "")
-            build_grid(**doc["grid"])
+            grid = build_grid(**doc["grid"])
             plan = TimeStepPlan(**{k: doc[k] for k in _PLAN_KEYS if k in doc}).validated()
         except ValueError as exc:
             raise ConfigError(f"config: {exc}") from exc
@@ -150,11 +152,8 @@ class RunConfig:
         if "path" in spec:
             # config.json names the checkpoint so that it resolves from any directory
             doc = dict(doc, initial_condition=dict(spec, path=os.path.abspath(spec["path"])))
-        rest = {k: doc[k] for k in doc if k not in _PLAN_KEYS}
-        return cls(doc=doc, plan=plan, **rest)
-
-    def build_grid(self):
-        return build_grid(**self.grid)
+        rest = {k: doc[k] for k in doc if k not in _PLAN_KEYS and k != "grid"}
+        return cls(doc=doc, grid=grid, plan=plan, **rest)
 
     def initial_state(self):
         """The solved starting state of the run and the initial condition's info.
@@ -162,16 +161,15 @@ class RunConfig:
         A checkpoint restart keeps the checkpoint's t and step_index (tfinal is
         absolute) and takes nu from the config; grid, boundary and tfinal must fit.
         """
-        grid = self.build_grid()
         spec = self.initial_condition
         if spec["kind"] != "checkpoint":
-            xi0, ic_info = make_initial_condition(spec, grid, monitor_ps=self.p_list)
-            return make_state(grid, xi0, self.nu, boundary=self.boundary), ic_info
+            xi0, ic_info = make_initial_condition(spec, self.grid, monitor_ps=self.p_list)
+            return make_state(self.grid, xi0, self.nu, boundary=self.boundary), ic_info
         try:
             saved = read_checkpoint(_spec_params(spec, {"path"})["path"])
         except (OSError, ValueError) as exc:
             raise ConfigError(f"checkpoint restart failed: {exc}") from exc
-        fits = {"grid": saved.grid == grid, "boundary": saved.boundary == self.boundary,
+        fits = {"grid": saved.grid == self.grid, "boundary": saved.boundary == self.boundary,
                 "tfinal": self.tfinal >= saved.t}
         bad = next((key for key, ok in fits.items() if not ok), None)
         if bad is not None:
@@ -225,7 +223,7 @@ def run_from_config(config, out_dir: str, extra_hook=None):
         manifest = {
             "status": status,
             "scheme": config.plan.scheme,
-            "grid": config.grid,
+            "grid": config.doc["grid"],
             "nu": config.nu,
             "tfinal": config.tfinal,
             "records": len(records),

@@ -178,13 +178,6 @@ class VelocityField:
     def max_speeds(self):
         return float(np.max(np.abs(self.u_r))), float(np.max(np.abs(self.u_z)))
 
-    def speed(self) -> np.ndarray:
-        return np.sqrt(self.u_r**2 + self.u_z**2)
-
-    def axis_ur_extrapolated(self) -> np.ndarray:
-        """Linear extrapolation of u_r to r = 0 from the first two cell rows."""
-        return 1.5 * self.u_r[0] - 0.5 * self.u_r[1]
-
 
 def integrate_weighted(f: ScalarField, k: float, p: float = 1.0) -> float:
     """Midpoint quadrature of the weighted integral int |f|^p r^k d(r,z).

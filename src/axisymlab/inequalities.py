@@ -47,13 +47,6 @@ class Ball3D:
         if not (0.0 < self.R < np.inf):
             raise ValueError(f"ball radius R must be finite and positive, got {self.R}")
 
-    @property
-    def far_field(self) -> bool:
-        return self.d >= 2.0 * self.R
-
-    def meets_axis(self) -> bool:
-        return self.d <= self.R
-
 
 def _conjugate(p: float) -> float:
     return p / (p - 1.0)

@@ -41,22 +41,19 @@ def _padded(values: np.ndarray, axis_symmetry: str) -> np.ndarray:
     """
     nr, nz = values.shape
     out = np.empty((nr + 4, nz + 4))
-    out[2 : nr + 2, 2 : nz + 2] = values
+    out[2:-2, 2:-2] = values
     if axis_symmetry == "even":
-        out[1, 2 : nz + 2] = values[0]
-        out[0, 2 : nz + 2] = values[1]
+        out[:2, 2:-2] = values[1::-1]
     elif axis_symmetry == "odd":
-        out[1, 2 : nz + 2] = -values[0]
-        out[0, 2 : nz + 2] = -values[1]
+        np.negative(values[1::-1], out=out[:2, 2:-2])
     else:
-        out[1, 2 : nz + 2] = values[0]
-        out[0, 2 : nz + 2] = values[0]
-    out[nr + 2, 2 : nz + 2] = values[nr - 1]
-    out[nr + 3, 2 : nz + 2] = values[nr - 1]
+        out[:2, 2:-2] = values[0]
+    out[-2:, 2:-2] = values[-1]
+    # column by column: a broadcast copy into two columns takes longer
     out[:, 1] = out[:, 2]
     out[:, 0] = out[:, 2]
-    out[:, nz + 2] = out[:, nz + 1]
-    out[:, nz + 3] = out[:, nz + 1]
+    out[:, -2] = out[:, -3]
+    out[:, -1] = out[:, -3]
     return out
 
 

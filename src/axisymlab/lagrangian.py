@@ -154,18 +154,6 @@ class FlowMap:
     axis_flagged: np.ndarray   # (n,) True if r dipped below -1e-8
     grid: HalfPlaneGrid
 
-    def final_positions(self) -> np.ndarray:
-        return self.positions[-1]
-
-    def to_csv(self, path: str) -> None:
-        lines = ["seed_id,t,phi_r,phi_z"]
-        for j in range(self.seeds.shape[0]):
-            for k, t in enumerate(self.times):
-                pr, pz = self.positions[k, j]
-                lines.append(f"{j},{repr(float(t))},{repr(float(pr))},{repr(float(pz))}")
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write("\n".join(lines) + "\n")
-
 
 def _in_domain(grid: HalfPlaneGrid, pos: np.ndarray) -> np.ndarray:
     r, z = pos[:, 0], pos[:, 1]

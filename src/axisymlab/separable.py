@@ -22,9 +22,9 @@ reuses them in the same operations, so reuse changes no bit of a result.
 The factors live on the grid: HalfPlaneGrid.stream_operator holds B for as
 long as the grid lives, and HalfPlaneGrid.diffusion_operator keeps one slot
 per diffusion (xi, omega, dual), refactored only when theta nu dt changes,
-as on a truncated last step or with an adaptive dt.  solve_separable is the
-one-off construct-and-solve.  The stream solve's residual is computed only
-when its report is read (biot_savart.EllipticSolveReport).
+as on a truncated last step or with an adaptive dt.  The stream solve's
+residual is computed only when its report is read
+(biot_savart.EllipticSolveReport).
 
 The orthonormal transforms and their inverses take one numpy.fft.rfft or
 irfft of length nz each, after Makhoul's even/odd reorder (J. Makhoul, IEEE
@@ -61,15 +61,6 @@ def flux_form_radial(cell: np.ndarray, face: np.ndarray):
     lower = -cell * face[:-1]
     upper = -cell * face[1:]
     return lower, -(lower + upper), upper
-
-
-def _check_operands(x, radial, z_bc: str) -> None:
-    """Raise ValueError unless z_bc is known and x is (nr, nz) for radial of length nr."""
-    if z_bc not in ("dirichlet", "neumann"):
-        raise ValueError(f"unknown z closure {z_bc!r}")
-    if np.ndim(x) != 2 or np.shape(x)[:1] != np.shape(radial[1]):
-        raise ValueError(f"array of shape {np.shape(x)} does not match radial coefficients "
-                         f"of shape {np.shape(radial[1])}; need (nr, nz) for nr coefficients")
 
 
 def _twiddle(n: int) -> np.ndarray:
@@ -197,20 +188,17 @@ class SeparableOperator:
         return _inverse(x, self._dst, spectrum=self._spectrum)
 
 
-def solve_separable(rhs: np.ndarray, radial, hz: float, z_bc: str, shift: float = 0.0,
-                    scale: float = 1.0) -> np.ndarray:
-    """Solve shift * x + scale * (R x + T x) = rhs once: SeparableOperator(...).solve(rhs)."""
-    _check_operands(rhs, radial, z_bc)
-    return SeparableOperator(radial, hz, rhs.shape[1], z_bc, shift, scale).solve(rhs)
-
-
 def apply_separable(x: np.ndarray, radial, hz: float, z_bc: str) -> np.ndarray:
     """(R + T) x for x of shape (nr, nz): the operator that SeparableOperator inverts.
 
     radial and z_bc are as in SeparableOperator; the z closures put the ghost
     value -x (Dirichlet) or x (zero flux) beyond each end.
     """
-    _check_operands(x, radial, z_bc)
+    if z_bc not in ("dirichlet", "neumann"):
+        raise ValueError(f"unknown z closure {z_bc!r}")
+    if np.ndim(x) != 2 or np.shape(x)[:1] != np.shape(radial[1]):
+        raise ValueError(f"array of shape {np.shape(x)} does not match radial coefficients "
+                         f"of shape {np.shape(radial[1])}; need (nr, nz) for nr coefficients")
     lower, diag, upper = radial
     ghost = -1.0 if z_bc == "dirichlet" else 1.0
     ext = np.concatenate([ghost * x[:, :1], x, ghost * x[:, -1:]], axis=1)

@@ -1,8 +1,9 @@
 """Vanishing-viscosity sweep: shared-everything reruns across a nu ladder.
 
-All members share one grid, one bit-identical initial field, and one fixed
-time-step schedule (a fixed dt is required precisely so the schedule cannot
-depend on nu).  The sweep then reports
+All members share one grid (RunConfig.grid, with its factored operators and
+kernel tables), one bit-identical initial field, and one fixed time-step
+schedule (a fixed dt is required precisely so the schedule cannot depend on
+nu).  The sweep then reports
 
 - pairwise differences ||u_{nu_k}(t) - u_{nu_{k+1}}(t)||_{L^2(B_R)} on a
   fixed centered ball at aligned sample times (a Cauchy-sequence proxy for
@@ -19,7 +20,7 @@ depend on nu).  The sweep then reports
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -90,16 +91,14 @@ def sweep(
     # NaN passes the order check above, since every comparison with it is False
     if not all(0.0 < v < np.inf for v in nus):
         raise ConfigError(f"sweep viscosities must be positive and finite, got {nus}")
-    doc = dict(base_config)
-    doc["nu"] = nus[0]
-    config = RunConfig.from_dict(doc)
+    config = RunConfig.from_dict(dict(base_config, nu=nus[0]))
     if config.plan.dt is None:
         raise ConfigError(
             "sweep members must share a fixed dt schedule; set 'dt' in the config"
         )
     if not (bound_p > 1.5):
         raise ConfigError(f"deficit bound exponent needs p > 3/2, got {bound_p}")
-    grid = config.build_grid()
+    grid = config.grid
     if ball_radius is None:
         ball_radius = 0.5 * min(grid.r_max, grid.z_max, -grid.z_min)
     try:
@@ -113,15 +112,14 @@ def sweep(
     failed = None
     try:
         for nu in nus:
-            member_doc = dict(doc)
-            member_doc["nu"] = nu
+            member = replace(config, nu=nu, doc=dict(config.doc, nu=nu))
             member_dir = os.path.join(out_dir, f"nu_{nu:g}")
             snaps = []
 
             def keep_velocity(s, k, snaps=snaps):
                 snaps.append(s.u.copy())
 
-            _, records = run_from_config(member_doc, member_dir, extra_hook=keep_velocity)
+            _, records = run_from_config(member, member_dir, extra_hook=keep_velocity)
             all_records[nu] = records
             velocity_snaps[nu] = snaps
     except NumericalBlowupError as exc:

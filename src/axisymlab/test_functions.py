@@ -276,9 +276,9 @@ class SpaceTimeBump:
         live = (t >= 0.0) & (t < self.tau)
         return np.where(live, w, 0.0), np.where(live, dw, 0.0)
 
-    def norm(self, n: int = 64) -> float:
+    def norm(self) -> float:
         """sup|f| + sup|f_t| + sup|grad f| over a sample of the support."""
-        s = sample_support(self.space, n)
+        s = sample_support(self.space, 64)
         v, g = np.max(s.f), np.max(s.grad)
         ts = np.linspace(0.0, self.tau, 65)
         w, dw = self.time_weight(ts)

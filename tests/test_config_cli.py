@@ -1,5 +1,6 @@
 import copy
 import csv
+import importlib
 import json
 import os
 import subprocess
@@ -27,6 +28,9 @@ from axisymlab import (
     validate_config_dict,
     write_checkpoint,
 )
+from axisymlab import biot_savart
+
+sweep_module = importlib.import_module("axisymlab.sweep")
 
 
 def base_doc(**overrides):
@@ -57,8 +61,7 @@ def test_validate_config_roundtrip():
     config = RunConfig.from_dict(doc)
     assert config.nu == 1e-3 and config.plan.dt == 0.02
     assert config.plan.sample_every == 1 and config.checkpoint_every == 0
-    grid = config.build_grid()
-    assert (grid.nr, grid.nz) == (24, 48)
+    assert config.grid == build_grid(24, 48, 3.0, -3.0, 3.0)
     plan = config.plan
     assert plan.scheme == "xi_semilagrangian" and plan.dt == 0.02
 
@@ -697,6 +700,32 @@ def test_sweep_aggregation(tmp_path):
     assert sorted(os.listdir(tmp_path / "sweep")) == [
         "nu_0.00125", "nu_0.0025", "nu_0.005", "nu_0.01", "sweep_summary.json",
     ]
+
+
+def test_sweep_members_share_one_grid_and_its_kernel_tables(tmp_path, monkeypatch):
+    # every member runs on the config's grid, so a kernel sweep evaluates the
+    # boundary tables once, as one run does (test_benchmark_traces.py)
+    calls, finals = [], []
+    ring_stream = biot_savart.ring_stream
+
+    def counted(*args):
+        calls.append(args)
+        return ring_stream(*args)
+
+    member_run = sweep_module.run_from_config
+
+    def kept(*args, **kwargs):
+        final, records = member_run(*args, **kwargs)
+        finals.append(final)
+        return final, records
+
+    monkeypatch.setattr(biot_savart, "ring_stream", counted)
+    monkeypatch.setattr(sweep_module, "run_from_config", kept)
+    doc = dict(sweep_doc(), tfinal=0.01, scheme="omega_conservative", boundary="kernel")
+    sweep(doc, [1e-2, 5e-3, 2.5e-3, 1.25e-3], str(tmp_path / "sweep"))
+    assert len(finals) == 4 and all(f.step_index == 1 for f in finals)
+    assert all(f.grid is finals[0].grid for f in finals)
+    assert len(calls) == finals[0].grid.nr + 1
 
 
 def test_sweep_from_a_checkpoint_measures_time_from_the_restart(tmp_path):

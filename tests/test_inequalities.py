@@ -40,9 +40,9 @@ def test_ball3d_validation():
     for field, value in (("d", np.nan), ("d", np.inf), ("x3", np.nan), ("R", np.inf)):
         with pytest.raises(ValueError, match=rf"\b{field}\b"):
             Ball3D(**{"d": 1.0, "x3": 0.0, "R": 1.0, field: value})
-    assert Ball3D(d=2.0, x3=0.0, R=1.0).far_field
-    assert not Ball3D(d=1.9, x3=0.0, R=1.0).far_field
-    assert Ball3D(d=0.5, x3=0.0, R=1.0).meets_axis()
+    for d, far, meets_axis in ((2.0, True, False), (1.9, False, False), (0.5, False, True)):
+        ball = Ball3D(d=d, x3=0.0, R=1.0)
+        assert (ball.d >= 2.0 * ball.R, ball.d <= ball.R) == (far, meets_axis)
 
 
 def test_ap_constant_weight_control():

@@ -11,6 +11,29 @@ from axisymlab.interpolation import (
 )
 
 
+def _reference_padded(values, axis_symmetry):
+    """The ghost layers that _padded wrote row by row, kept as the oracle."""
+    nr, nz = values.shape
+    out = np.empty((nr + 4, nz + 4))
+    out[2 : nr + 2, 2 : nz + 2] = values
+    if axis_symmetry == "even":
+        out[1, 2 : nz + 2] = values[0]
+        out[0, 2 : nz + 2] = values[1]
+    elif axis_symmetry == "odd":
+        out[1, 2 : nz + 2] = -values[0]
+        out[0, 2 : nz + 2] = -values[1]
+    else:
+        out[1, 2 : nz + 2] = values[0]
+        out[0, 2 : nz + 2] = values[0]
+    out[nr + 2, 2 : nz + 2] = values[nr - 1]
+    out[nr + 3, 2 : nz + 2] = values[nr - 1]
+    out[:, 1] = out[:, 2]
+    out[:, 0] = out[:, 2]
+    out[:, nz + 2] = out[:, nz + 1]
+    out[:, nz + 3] = out[:, nz + 1]
+    return out
+
+
 def _reference_bicubic(values, grid, r_query, z_query, axis_symmetry="even", clip=False):
     """The per-call loop that interp_bicubic ran before stencil plans, kept as the oracle."""
     rq = np.asarray(r_query, dtype=np.float64)
@@ -23,7 +46,7 @@ def _reference_bicubic(values, grid, r_query, z_query, axis_symmetry="even", cli
     y = np.clip((zq - grid.z_min) / grid.hz - 0.5, -0.5, grid.nz - 0.5)
     i0 = np.floor(x).astype(np.int64)
     j0 = np.floor(y).astype(np.int64)
-    P = _padded(values, axis_symmetry)
+    P = _reference_padded(values, axis_symmetry)
     wr = _catmull_rom_weights(x - i0)
     wz = _catmull_rom_weights(y - j0)
     out = np.zeros(rq.shape)
@@ -59,6 +82,16 @@ def _field(grid, rng):
     values[: grid.nr // 2, : grid.nz // 3] = 0.0
     values[: grid.nr // 3, grid.nz // 3 : grid.nz // 2] = -0.0
     return values
+
+
+@pytest.mark.parametrize("parity", ["even", "odd", "none"])
+def test_padded_matches_the_reference_rows_byte_for_byte(parity):
+    rng = np.random.default_rng(2)
+    for nr, nz in ((96, 192), (64, 128), (16, 32), (5, 7), (4, 4)):
+        values = _field(build_grid(nr, nz, 1.0, -1.0, 1.0), rng)
+        values[-1, ::2] = -0.0  # signed zeros on the outer row and in the corners
+        got = _padded(values, parity)
+        assert got.tobytes() == _reference_padded(values, parity).tobytes()
 
 
 @pytest.mark.parametrize("clip", [False, True])

@@ -83,12 +83,12 @@ def test_trace_flow_uniform_translation():
     assert flow.times.shape == (11,)
     assert np.isclose(flow.times[-1], 1.0)
     expected = seeds + np.array([0.0, 0.5])
-    assert np.max(np.abs(flow.final_positions() - expected)) < 1e-12
+    assert np.max(np.abs(flow.positions[-1] - expected)) < 1e-12
     assert flow.active.all()
     assert not flow.axis_flagged.any()
     # zero duration collapses to the seeds
     still = trace_flow(series, seeds, T=0.0)
-    assert np.array_equal(still.final_positions(), seeds)
+    assert np.array_equal(still.positions[-1], seeds)
 
 
 def test_trace_flow_shear_sampling_accuracy():
@@ -101,8 +101,8 @@ def test_trace_flow_shear_sampling_accuracy():
     seeds = np.array([[0.7, -0.4], [1.37, 0.0], [2.21, 0.5]])
     flow = trace_flow(series, seeds, T=1.0, n_steps=8)
     exact_z = seeds[:, 1] + np.cos(seeds[:, 0])
-    assert np.max(np.abs(flow.final_positions()[:, 0] - seeds[:, 0])) < 1e-9
-    assert np.max(np.abs(flow.final_positions()[:, 1] - exact_z)) < 1e-6
+    assert np.max(np.abs(flow.positions[-1][:, 0] - seeds[:, 0])) < 1e-9
+    assert np.max(np.abs(flow.positions[-1][:, 1] - exact_z)) < 1e-6
 
 
 def test_trace_flow_cfl_step_count():
@@ -139,22 +139,6 @@ def test_trace_flow_validation():
         trace_flow(series, [[1.0, 0.0]], T=-1.0)
     with pytest.raises(ValueError):
         trace_flow(series, [[1.0, 0.0]], T=1.0, n_steps=0)
-
-
-def test_flow_map_csv(tmp_path):
-    g = build_grid(16, 16, 2.0, -1.0, 1.0)
-    series = VelocitySeries.frozen(uniform_axial(g, 0.5), 1.0)
-    flow = trace_flow(series, [[1.0, 0.0], [0.5, -0.5]], T=0.4, n_steps=2)
-    path = tmp_path / "flow.csv"
-    flow.to_csv(str(path))
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "seed_id,t,phi_r,phi_z"
-    assert len(lines) == 1 + 2 * 3
-    sid, t, pr, pz = lines[-1].split(",")
-    assert sid == "1"
-    assert float(t) == flow.times[-1]
-    assert float(pr) == flow.positions[-1, 1, 0]
-    assert float(pz) == flow.positions[-1, 1, 1]
 
 
 def stretching_flow_case(n, a=0.3, T=0.5, n_snap=16):

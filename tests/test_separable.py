@@ -26,8 +26,7 @@ from axisymlab.evolution import _xi_diffusion_radial, diffuse_relative_vorticity
 from axisymlab.grid import ScalarField, build_grid
 from axisymlab.lagrangian import _diffuse_dual
 from axisymlab import biot_savart, evolution
-from axisymlab.separable import (SeparableOperator, _forward, _inverse, apply_separable,
-                                 solve_separable)
+from axisymlab.separable import SeparableOperator, _forward, _inverse, apply_separable
 
 NR, NZ = 6, 10
 NU, DT = 0.3, 0.2
@@ -72,7 +71,7 @@ def test_solve_separable_matches_dense_stream_operator(outer_r, z_bc, shift, sca
     A = _dense(lambda v: shift * v + scale * apply_separable(v, radial, g.hz, z_bc))
     b = _rhs(1)
     want = np.linalg.solve(A, b.ravel()).reshape(NR, NZ)
-    got = solve_separable(b, radial, g.hz, z_bc, shift=shift, scale=scale)
+    got = SeparableOperator(radial, g.hz, NZ, z_bc, shift, scale).solve(b)
     assert _rel(got, want) <= 1e-12
 
 
@@ -98,7 +97,6 @@ def test_separable_operator_reuses_its_factors_bit_for_bit(outer_r, z_bc, shift,
     got = [op.solve(b) for b in rhss]
     for b, x in zip(rhss, got):
         assert np.array_equal(x, SeparableOperator(radial, g.hz, NZ, z_bc, shift, scale).solve(b))
-        assert np.array_equal(x, solve_separable(b, radial, g.hz, z_bc, shift=shift, scale=scale))
     assert not any(np.shares_memory(a, b) for i, a in enumerate(got) for b in got[i + 1:])
     with pytest.raises(ValueError, match=re.escape(f"{(NR, NZ + 1)}")):
         op.solve(np.ones((NR, NZ + 1)))
@@ -182,7 +180,7 @@ def test_dual_diffusion_matches_dense(theta):
 def test_solve_separable_rejects_unknown_closure():
     g = _grid()
     with pytest.raises(ValueError):
-        solve_separable(_rhs(6), stream_operator_radial(g), g.hz, "periodic")
+        SeparableOperator(stream_operator_radial(g), g.hz, NZ, "periodic")
     with pytest.raises(ValueError):
         apply_separable(_rhs(6), stream_operator_radial(g), g.hz, "periodic")
     with pytest.raises(ValueError):
@@ -193,10 +191,11 @@ def test_solve_separable_rejects_mismatched_shapes():
     # unchecked, a short rhs is solved as a truncated system and a 1-D one
     # fails with an IndexError
     radial = stream_operator_radial(build_grid(8, 8, 2.0, -1.0, 1.0))
+    op = SeparableOperator(radial, 0.25, 8, "dirichlet")
     for bad in (np.ones((5, 8)), np.ones(8)):
-        for call in (lambda: solve_separable(bad, radial, 0.25, "dirichlet"),
-                     lambda: apply_separable(bad, radial, 0.25, "neumann")):
-            with pytest.raises(ValueError, match=re.escape(f"{bad.shape}") + ".*" + re.escape("(8,)")):
+        for call, want in ((lambda: op.solve(bad), "(8, 8)"),
+                           (lambda: apply_separable(bad, radial, 0.25, "neumann"), "(8,)")):
+            with pytest.raises(ValueError, match=re.escape(f"{bad.shape}") + ".*" + re.escape(want)):
                 call()
 
 
