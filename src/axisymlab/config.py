@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .diagnostics import DiagnosticsCollector, write_csv
-from .evolution import TimeStepPlan, json_number, make_state, read_checkpoint, run, write_checkpoint
+from .evolution import TimeStepPlan, _read_axf1, json_number, make_state, run, write_checkpoint
 from .exceptions import ConfigError
 from .grid import HalfPlaneGrid, build_grid
 from .initial_conditions import _spec_params, make_initial_condition
@@ -166,17 +166,18 @@ class RunConfig:
             xi0, ic_info = make_initial_condition(spec, self.grid, monitor_ps=self.p_list)
             return make_state(self.grid, xi0, self.nu, boundary=self.boundary), ic_info
         try:
-            saved = read_checkpoint(_spec_params(spec, {"path"})["path"])
+            xi, nu, t, step, boundary = _read_axf1(_spec_params(spec, {"path"})["path"])
         except (OSError, ValueError) as exc:
             raise ConfigError(f"checkpoint restart failed: {exc}") from exc
-        fits = {"grid": saved.grid == self.grid, "boundary": saved.boundary == self.boundary,
-                "tfinal": self.tfinal >= saved.t}
+        fits = {"grid": xi.grid == self.grid, "boundary": boundary == self.boundary,
+                "tfinal": self.tfinal >= t}
         bad = next((key for key, ok in fits.items() if not ok), None)
         if bad is not None:
             raise ConfigError(f"config key {bad!r} does not match the checkpoint (grid "
-                              f"{saved.grid.nr}x{saved.grid.nz}, boundary {saved.boundary!r}, "
-                              f"t = {saved.t} <= tfinal)")
-        return replace(saved, nu=float(self.nu)), {"restart_t": saved.t, "restart_nu": saved.nu}
+                              f"{xi.grid.nr}x{xi.grid.nz}, boundary {boundary!r}, "
+                              f"t = {t} <= tfinal)")
+        state = make_state(self.grid, xi.values, self.nu, t=t, boundary=self.boundary)
+        return replace(state, step_index=step), {"restart_t": t, "restart_nu": nu}
 
 
 def _canonical_json(doc) -> str:

@@ -505,6 +505,12 @@ def read_checkpoint(path: str) -> FluidState:
     step_index at least 0; a header field that is missing or breaks it
     raises ValueError naming it.
     """
+    xi, nu, t, step_index, boundary = _read_axf1(path)
+    return replace(make_state(xi.grid, xi, nu, t=t, boundary=boundary), step_index=step_index)
+
+
+def _read_axf1(path: str):
+    """read_checkpoint's (xi on the header's grid, nu, t, step_index, boundary), unsolved."""
     with open(path, "rb") as f:
         header_line = f.readline()
         payload = f.read()
@@ -531,6 +537,6 @@ def read_checkpoint(path: str) -> FluidState:
         raise ValueError(f"checkpoint payload is {len(payload)} bytes, expected {expected}")
     values = np.frombuffer(payload, dtype="<f8").reshape(grid.nr, grid.nz).copy()
     step_index = number("step_index", int, low=0)
-    state = make_state(grid, values, number("nu", low=0.0), t=number("t", low=0.0),
-                       boundary=header.get("boundary", "zero"))
-    return replace(state, step_index=step_index)
+    nu, t = number("nu", low=0.0), number("t", low=0.0)
+    xi = ScalarField(grid, values, role="relative_vorticity")
+    return xi, nu, t, step_index, header.get("boundary", "zero")

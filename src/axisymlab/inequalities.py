@@ -102,7 +102,7 @@ def _batched_ball_averages(d, R, exponents, n: int):
                 radial = np.log(hi / np.where(lo > 0.0, lo, 1.0))
                 radial = np.where(lo > 0.0, radial, np.inf)
             else:
-                radial = (hi**e2 - lo**e2) / e2
+                radial = np.diff(r_edges**e2, axis=1) / e2
         integrals.append(np.sum(section * radial, axis=1))
     return integrals[:-1], integrals[-1]
 
@@ -204,10 +204,8 @@ def ap_scan(
         hi = min(lo + chunk, sample_count)
         prods = _batched_ap_products(p, d[lo:hi], R[lo:hi], n)
         far = d[lo:hi] >= 2.0 * R[lo:hi]
-        if np.any(far):
-            far_sup = max(far_sup, float(np.max(prods[far])))
-        if np.any(~far):
-            near_sup = max(near_sup, float(np.max(prods[~far])))
+        far_sup = max(far_sup, float(np.max(prods[far], initial=-np.inf)))
+        near_sup = max(near_sup, float(np.max(prods[~far], initial=-np.inf)))
         k = int(np.argmax(prods))
         if prods[k] > sup:
             sup = float(prods[k])
@@ -242,9 +240,7 @@ def weighted_sobolev_ratio(
     sample = sample_support(f, n)
     num = sample.integral(sample.f, t, alpha) ** (1.0 / t)
     den = sample.integral(sample.grad, s, beta) ** (1.0 / s)
-    if den == 0.0:
-        return 0.0
-    return float(num / den)
+    return 0.0 if den == 0.0 else float(num / den)
 
 
 def hardy_ratio(f: TestFunctionSpec, gamma: float, R: float = 1.0, n: int = 256) -> float:
@@ -252,33 +248,31 @@ def hardy_ratio(f: TestFunctionSpec, gamma: float, R: float = 1.0, n: int = 256)
 
     A = [R, 2R] x R and B = [R, 4R] x R are the strips of the dyadic
     difference construction; gamma > -1 keeps the weight integrable on the
-    strip.  Returns 0 when both integrals vanish (support disjoint from B).
+    strip.  Each sum runs over the strip rows where its integrand can be
+    nonzero only; 0 is returned whenever the denominator vanishes.
     """
     if not (gamma > -1.0):
         raise ValueError(f"gamma must exceed -1, got {gamma}")
     if not (R > 0.0):
         raise ValueError(f"R must be positive, got {R}")
-    _, _, z_lo, z_hi = f.support_box()
-    if z_hi <= z_lo:
-        return 0.0
-    # numerator strip [R, 2R]; g(r, z) = f(2r, z) pulls support down by half
+    r_lo, r_hi, z_lo, z_hi = f.support_box()
     r_a = np.linspace(R, 2.0 * R, n + 1)
     r_a = 0.5 * (r_a[1:] + r_a[:-1])
-    z = np.linspace(z_lo, z_hi, n + 1)
-    z = 0.5 * (z[1:] + z[:-1])
-    dz = (z_hi - z_lo) / n
-    r2d, z2d = np.meshgrid(r_a, z, indexing="ij")
-    diff = np.abs(f.value(r2d, z2d) - f.value(2.0 * r2d, z2d))
-    num = np.sum(diff * r2d**gamma) * (R / n) * dz
-
     r_b = np.linspace(R, 4.0 * R, 2 * n + 1)
     r_b = 0.5 * (r_b[1:] + r_b[:-1])
-    r2d, z2d = np.meshgrid(r_b, z, indexing="ij")
-    gr, gz = f.gradient(r2d, z2d)
-    den = np.sum(np.hypot(gr, gz) * r2d ** (gamma + 1.0)) * (3.0 * R / (2 * n)) * dz
-    if den == 0.0:
+    r_b = r_b[(r_b >= r_lo) & (r_b <= r_hi), None]
+    if r_b.size == 0:  # no gradient row: the denominator is 0
         return 0.0
-    return float(num / den)
+    # the rows of A where f(r, z) or g(r, z) = f(2r, z) can be nonzero
+    r_a = r_a[((r_a >= r_lo) & (r_a <= r_hi)) | ((2.0 * r_a >= r_lo) & (2.0 * r_a <= r_hi)), None]
+    z = np.linspace(z_lo, z_hi, n + 1)
+    z = 0.5 * (z[1:] + z[:-1])[None, :]
+    dz = (z_hi - z_lo) / n
+    diff = np.abs(f.value(r_a, z) - f.value(2.0 * r_a, z))
+    num = np.sum(diff * r_a**gamma) * (R / n) * dz
+    gr, gz = f.gradient(r_b, z)
+    den = np.sum(np.hypot(gr, gz) * r_b ** (gamma + 1.0)) * (3.0 * R / (2 * n)) * dz
+    return 0.0 if den == 0.0 else float(num / den)
 
 
 def interpolation_lambda(p: float) -> float:
@@ -306,9 +300,7 @@ def interpolation_ratio(f: TestFunctionSpec, p: float, n: int = 192) -> float:
     b = sample.integral(sample.grad, 2.0, 1.0) ** 0.25
     c = sample.integral(sample.grad, p, 1.0 - p) ** ((0.5 - lam) / p)
     den = a * b * c
-    if den == 0.0:
-        return 0.0
-    return float(num / den)
+    return 0.0 if den == 0.0 else float(num / den)
 
 
 def nash_ratio(f: TestFunctionSpec, n: int = 192) -> float:
@@ -323,9 +315,7 @@ def nash_ratio(f: TestFunctionSpec, n: int = 192) -> float:
     l1 = two_pi * sample.integral(sample.f, 1.0, 1.0)
     g2 = (two_pi * sample.integral(sample.grad, 2.0, 1.0)) ** 0.5
     den = l1**0.4 * g2**0.6
-    if den == 0.0:
-        return 0.0
-    return float(l2 / den)
+    return 0.0 if den == 0.0 else float(l2 / den)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ quadratures:
 - poly_bump: tensor product of quartic polynomials on a box, C^1 across
   the support boundary.
 
-Integrals of powers and gradients are evaluated on dedicated midpoint
-grids over the support bounding box, independent of any simulation grid;
+Integrals of powers and gradients are midpoint sums over the support
+bounding box, on an r column and a z row that broadcast against each other;
 one evaluation there (sample_support) serves every integral of a ratio.
 Space-time variants (separable time profile times a spatial bump) feed the
 weak-form transport residuals.
@@ -107,20 +107,24 @@ class TestFunctionSpec:
         p = self.params
         a = p["amplitude"]
         if self.family == "poly_bump":
+            # one quartic per axis, zero off its interval; 2-D products last
             lr = p["r_hi"] - p["r_lo"]
             lz = p["z_hi"] - p["z_lo"]
             ur = (r - p["r_lo"]) / lr
             uz = (z - p["z_lo"]) / lz
-            inside = (ur > 0.0) & (ur < 1.0) & (uz > 0.0) & (uz < 1.0)
-            ur = np.where(inside, ur, 0.0)
-            uz = np.where(inside, uz, 0.0)
+            in_r = (ur > 0.0) & (ur < 1.0)
+            in_z = (uz > 0.0) & (uz < 1.0)
+            ur = np.where(in_r, ur, 0.0)
+            uz = np.where(in_z, uz, 0.0)
             pr = 16.0 * ur**2 * (1.0 - ur) ** 2
             pz = 16.0 * uz**2 * (1.0 - uz) ** 2
             if not with_gradient:
                 return (a * pr * pz,)
             dpr = 16.0 * (2.0 * ur * (1.0 - ur) ** 2 - 2.0 * ur**2 * (1.0 - ur)) / lr
             dpz = 16.0 * (2.0 * uz * (1.0 - uz) ** 2 - 2.0 * uz**2 * (1.0 - uz)) / lz
-            return a * pr * pz, a * dpr * pz, a * pr * dpz
+            # dpr * (+0) is -0 where dpr < 0; off the box the gradient is a * 0.0
+            box, zero = in_r & in_z, a * 0.0
+            return a * pr * pz, np.where(box, a * dpr * pz, zero), np.where(box, a * pr * dpz, zero)
         if self.family == "gaussian_bump":
             xr = (r - p["r0"]) / p["wr"]
             xz = (z - p["z0"]) / p["wz"]
@@ -140,7 +144,7 @@ class TestFunctionSpec:
 
 
 def support_quadrature(spec: TestFunctionSpec, n: int = 256):
-    """Midpoint quadrature nodes and cell area covering the support box.
+    """Midpoint quadrature nodes (an r column, a z row) and cell area covering the support box.
 
     The box is clipped to r > 0 (supports are constructed strictly inside,
     so this only trims numerically empty margin).
@@ -151,12 +155,11 @@ def support_quadrature(spec: TestFunctionSpec, n: int = 256):
     hz = (z_hi - z_lo) / n
     r = r_lo + (np.arange(n) + 0.5) * hr
     z = z_lo + (np.arange(n) + 0.5) * hz
-    r2d, z2d = np.meshgrid(r, z, indexing="ij")
-    return r2d, z2d, hr * hz
+    return r[:, None], z[None, :], hr * hz
 
 
 class SupportSample(NamedTuple):
-    """|f| and |grad f| of one test function at its support quadrature nodes."""
+    """|f| and |grad f| of one test function at its support quadrature nodes (r a column)."""
 
     r: np.ndarray
     area: float
@@ -170,9 +173,9 @@ class SupportSample(NamedTuple):
 
 def sample_support(spec: TestFunctionSpec, n: int = 256) -> SupportSample:
     """One evaluation of spec on support_quadrature(spec, n)."""
-    r2d, z2d, da = support_quadrature(spec, n)
-    f, f_r, f_z = spec.evaluate(r2d, z2d)
-    return SupportSample(r2d, da, np.abs(f), np.hypot(f_r, f_z))
+    r, z, da = support_quadrature(spec, n)
+    f, f_r, f_z = spec.evaluate(r, z)
+    return SupportSample(r, da, np.abs(f), np.hypot(f_r, f_z))
 
 
 def integrate_power(

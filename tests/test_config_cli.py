@@ -702,9 +702,8 @@ def test_sweep_aggregation(tmp_path):
     ]
 
 
-def test_sweep_members_share_one_grid_and_its_kernel_tables(tmp_path, monkeypatch):
-    # every member runs on the config's grid, so a kernel sweep evaluates the
-    # boundary tables once, as one run does (test_benchmark_traces.py)
+def _counted_kernel_sweep(tmp_path, monkeypatch, doc):
+    """The members' final states and the ring_stream calls of a 4-member sweep of doc."""
     calls, finals = [], []
     ring_stream = biot_savart.ring_stream
 
@@ -721,10 +720,32 @@ def test_sweep_members_share_one_grid_and_its_kernel_tables(tmp_path, monkeypatc
 
     monkeypatch.setattr(biot_savart, "ring_stream", counted)
     monkeypatch.setattr(sweep_module, "run_from_config", kept)
-    doc = dict(sweep_doc(), tfinal=0.01, scheme="omega_conservative", boundary="kernel")
     sweep(doc, [1e-2, 5e-3, 2.5e-3, 1.25e-3], str(tmp_path / "sweep"))
+    return finals, calls
+
+
+def test_sweep_members_share_one_grid_and_its_kernel_tables(tmp_path, monkeypatch):
+    # every member runs on the config's grid, so a kernel sweep evaluates the
+    # boundary tables once, as one run does (test_benchmark_traces.py)
+    doc = dict(sweep_doc(), tfinal=0.01, scheme="omega_conservative", boundary="kernel")
+    finals, calls = _counted_kernel_sweep(tmp_path, monkeypatch, doc)
     assert len(finals) == 4 and all(f.step_index == 1 for f in finals)
     assert all(f.grid is finals[0].grid for f in finals)
+    assert len(calls) == finals[0].grid.nr + 1
+
+
+def test_sweep_from_a_checkpoint_shares_one_grid_and_its_kernel_tables(tmp_path, monkeypatch):
+    # a restart solves the checkpoint's xi on the config's grid, not on a grid
+    # of its own built from the AXF1 header, so the members share the tables
+    g = build_grid(16, 32, 3.0, -3.0, 3.0)
+    ckpt = str(tmp_path / "kernel.axf1")
+    write_checkpoint(make_state(g, gaussian_ring_xi(g, 1.0, 0.0, 0.3, 1.0), 1e-3, t=0.02,
+                                boundary="kernel"), ckpt)
+    doc = dict(sweep_doc(), tfinal=0.03, scheme="omega_conservative", boundary="kernel",
+               initial_condition={"kind": "checkpoint", "path": ckpt})
+    finals, calls = _counted_kernel_sweep(tmp_path, monkeypatch, doc)
+    assert len(finals) == 4 and all(f.step_index == 1 for f in finals)
+    assert all(f.grid is finals[0].grid and f.grid is not g for f in finals)
     assert len(calls) == finals[0].grid.nr + 1
 
 

@@ -16,7 +16,7 @@ from axisymlab import (
     weighted_sobolev_ratio,
 )
 from axisymlab import TestFunctionSpec as FnSpec
-from axisymlab import test_functions
+from axisymlab import inequalities, test_functions
 from axisymlab.inequalities import _batched_ap_products, _batched_ball_averages, _section_length
 from axisymlab.test_functions import integrate_gradient_power, integrate_power
 
@@ -378,6 +378,125 @@ def test_hardy_ratio_properties():
         hardy_ratio(BUMP, gamma=-1.0)
     with pytest.raises(ValueError):
         hardy_ratio(BUMP, gamma=0.0, R=0.0)
+
+
+def _full_strip_hardy_ratio(f, gamma, R, n):
+    # the ratio summed over every row of both strips, f sampled on meshgrids
+    _, _, z_lo, z_hi = f.support_box()
+    r_a = np.linspace(R, 2.0 * R, n + 1)
+    r_a = 0.5 * (r_a[1:] + r_a[:-1])
+    z = np.linspace(z_lo, z_hi, n + 1)
+    z = 0.5 * (z[1:] + z[:-1])
+    dz = (z_hi - z_lo) / n
+    r2d, z2d = np.meshgrid(r_a, z, indexing="ij")
+    diff = np.abs(f.value(r2d, z2d) - f.value(2.0 * r2d, z2d))
+    num = np.sum(diff * r2d**gamma) * (R / n) * dz
+    r_b = np.linspace(R, 4.0 * R, 2 * n + 1)
+    r_b = 0.5 * (r_b[1:] + r_b[:-1])
+    r2d, z2d = np.meshgrid(r_b, z, indexing="ij")
+    gr, gz = f.gradient(r2d, z2d)
+    den = np.sum(np.hypot(gr, gz) * r2d ** (gamma + 1.0)) * (3.0 * R / (2 * n)) * dz
+    return 0.0 if den == 0.0 else float(num / den)
+
+
+def test_hardy_ratio_matches_the_full_strips(monkeypatch):
+    # f is exactly 0 off its support box, so dropping the rows where neither
+    # f(r, z) nor f(2r, z) can be nonzero drops only zeros from the sums: the
+    # ratios move by the regrouping of the summation alone
+    n = 64
+    specs = random_test_functions(300, rng_seed=3)
+    cases = [(f, gamma, R) for f in specs for gamma in (0.0, 0.5) for R in (0.5, 1.0, 2.0)]
+    want = [_full_strip_hardy_ratio(f, gamma, R, n) for f, gamma, R in cases]
+    points = []
+    sample = FnSpec._sample
+
+    def counted(self, r, z, with_gradient):
+        points[-1] += np.broadcast(r, z).size
+        return sample(self, r, z, with_gradient)
+
+    monkeypatch.setattr(FnSpec, "_sample", counted)
+    early = 0
+    for (f, gamma, R), w in zip(cases, want):
+        points.append(0)
+        got = hardy_ratio(f, gamma, R=R, n=n)
+        assert abs(got - w) <= 1e-13 * abs(w), (f, gamma, R)
+        # at most the support rows: two values on each numerator row where r
+        # or 2r meets the support box, one gradient on each such row of B
+        r_lo, r_hi = f.support_box()[:2]
+
+        def meets(r):
+            return (r >= r_lo - 1e-12) & (r <= r_hi + 1e-12)
+
+        r_a = R * (1.0 + (np.arange(n) + 0.5) / n)
+        r_b = R * (1.0 + 3.0 * (np.arange(2 * n) + 0.5) / (2 * n))
+        rows_b = np.count_nonzero(meets(r_b))
+        assert points[-1] <= (2 * np.count_nonzero(meets(r_a) | meets(2.0 * r_a)) + rows_b) * n
+        if rows_b == 0:  # the support misses strip B: nothing is evaluated
+            assert points[-1] == 0 and got == 0.0
+            early += 1
+    assert 0 < early < len(cases)
+    assert sum(points) < 0.5 * len(cases) * 4 * n * n  # the full strips: 4 n^2 points a ratio
+
+
+def _joint_mask_poly(spec, r, z):
+    # the poly bump as one 2-D evaluation under the joint mask
+    p, a = spec.params, spec.params["amplitude"]
+    lr, lz = p["r_hi"] - p["r_lo"], p["z_hi"] - p["z_lo"]
+    ur, uz = (r - p["r_lo"]) / lr, (z - p["z_lo"]) / lz
+    inside = (ur > 0.0) & (ur < 1.0) & (uz > 0.0) & (uz < 1.0)
+    ur, uz = np.where(inside, ur, 0.0), np.where(inside, uz, 0.0)
+    pr, pz = 16.0 * ur**2 * (1.0 - ur) ** 2, 16.0 * uz**2 * (1.0 - uz) ** 2
+    dpr = 16.0 * (2.0 * ur * (1.0 - ur) ** 2 - 2.0 * ur**2 * (1.0 - ur)) / lr
+    dpz = 16.0 * (2.0 * uz * (1.0 - uz) ** 2 - 2.0 * uz**2 * (1.0 - uz)) / lz
+    return a * pr * pz, a * dpr * pz, a * pr * dpz
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_broadcast_evaluation_is_byte_identical():
+    # (m, 1) x (1, n) axes give the bytes of the meshgrid evaluation, signed
+    # zeros included, inside and outside the support box
+    negative = FnSpec("poly_bump", {"r_lo": 0.5, "r_hi": 2.0, "z_lo": -0.5, "z_hi": 1.0,
+                                    "amplitude": -1.5})
+    for s in [*MEMBERS, negative, *random_test_functions(30, rng_seed=7)]:
+        r_lo, r_hi, z_lo, z_hi = s.support_box()
+        r = np.linspace(max(r_lo - 0.3, 0.01), r_hi + 0.3, 47)
+        z = np.linspace(z_lo - 0.3, z_hi + 0.3, 53)
+        r2d, z2d = np.meshgrid(r, z, indexing="ij")
+        grid = s.evaluate(r2d, z2d)
+        axes = s.evaluate(r[:, None], z[None, :])
+        assert all(_same_bits(a, b) for a, b in zip(axes, grid))
+        assert _same_bits(s.value(r[:, None], z[None, :]), grid[0])
+        assert np.any(grid[0] == 0.0) and np.any(grid[0] != 0.0)
+        if s.family == "poly_bump":
+            assert all(_same_bits(a, b) for a, b in zip(grid, _joint_mask_poly(s, r2d, z2d)))
+    assert np.any(np.signbit(negative.evaluate(r2d, z2d)[1]))
+
+
+def _meshgrid_sample_support(spec, n):
+    # the support sample on an n x n meshgrid of the quadrature nodes
+    r_lo, r_hi, z_lo, z_hi = spec.support_box()
+    r_lo = max(r_lo, 0.0)
+    hr, hz = (r_hi - r_lo) / n, (z_hi - z_lo) / n
+    r2d, z2d = np.meshgrid(r_lo + (np.arange(n) + 0.5) * hr, z_lo + (np.arange(n) + 0.5) * hz,
+                           indexing="ij")
+    f, f_r, f_z = spec.evaluate(r2d, z2d)
+    return test_functions.SupportSample(r2d, hr * hz, np.abs(f), np.hypot(f_r, f_z))
+
+
+def test_ratios_on_broadcast_axes_equal_the_meshgrid_ratios(monkeypatch):
+    n = 64
+    specs = random_test_functions(90, rng_seed=3)
+    s, t, alpha, beta = sobolev_tuple(2.0)
+    ratios = (lambda f: weighted_sobolev_ratio(f, s, t, alpha, beta, n=n),
+              lambda f: interpolation_ratio(f, 1.8, n=n),
+              lambda f: nash_ratio(f, n=n))
+    got = [[ratio(f) for f in specs] for ratio in ratios]
+    monkeypatch.setattr(inequalities, "sample_support", _meshgrid_sample_support)
+    assert got == [[ratio(f) for f in specs] for ratio in ratios]
 
 
 def test_random_test_functions_reproducible():
