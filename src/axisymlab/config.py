@@ -109,7 +109,12 @@ def validate_config_dict(doc) -> dict:
     return doc
 
 
-def load_config_file(path: str) -> dict:
+def load_config_file(path: str):
+    """The parsed JSON document of a config file, not yet checked.
+
+    The command that uses it checks it once, with RunConfig.from_dict;
+    ConfigError here means the file is unreadable or not JSON.
+    """
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
@@ -117,7 +122,7 @@ def load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except ValueError as exc:  # malformed JSON or bytes that are not UTF-8
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    return validate_config_dict(doc)
+    return doc
 
 
 @dataclass
@@ -187,13 +192,13 @@ def _canonical_json(doc) -> str:
 def run_from_config(config, out_dir: str, extra_hook=None):
     """Execute one configured run, persisting outputs under out_dir.
 
-    config may be a validated dict or a RunConfig.  Returns (final state,
+    config may be a RunConfig or a document to check.  Returns (final state,
     records).  If the run raises, the partial CSV and an aborted manifest
     carrying the error are flushed before the error propagates.
     extra_hook(state, step), if given, runs at the sampling cadence after
     diagnostics (the sweep uses it to capture velocity snapshots).
     """
-    if isinstance(config, dict):
+    if not isinstance(config, RunConfig):
         config = RunConfig.from_dict(config)
     state, ic_info = config.initial_state()
     os.makedirs(out_dir, exist_ok=True)

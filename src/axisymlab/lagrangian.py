@@ -265,6 +265,11 @@ class RenormFunction:
     a C^1 smoothstep vanishing on [0, delta] and equal to 1 beyond 2*delta,
     and clip_M(x) = M tanh(x / M) saturates at the level M (power = 0 drops
     the clip and leaves the plateau M itself).
+
+    beta is exactly 0 (up to sign) for |s| <= delta: rho clips
+    u = (|s| - delta) / delta to [0, 1], so u = 0 and rho = 0 there, and
+    beta = 0 * core with core finite.  renorm_residual relies on this to
+    evaluate beta only on the cells where |xi| > delta.
     """
 
     name: str
@@ -329,7 +334,8 @@ def beta_integral(xi: ScalarField, beta: RenormFunction) -> float:
 
 
 # times per block of renorm_residual's products: the block holds three
-# full-grid fields per time, so it sets the call's peak memory
+# fields per time on the hull of its times' live boxes, so it sets the call's
+# peak memory
 _RENORM_BLOCK = 8
 
 
@@ -338,7 +344,34 @@ def _support_cells(grid: HalfPlaneGrid, spec) -> tuple:
     r_lo, r_hi, z_lo, z_hi = spec.support_box()
     i0, i1 = np.searchsorted(grid.r_centers, (r_lo, r_hi))
     j0, j1 = np.searchsorted(grid.z_centers, (z_lo, z_hi))
-    return slice(max(i0 - 1, 0), i1 + 1), slice(max(j0 - 1, 0), j1 + 1)
+    return (slice(max(i0 - 1, 0), min(i1 + 1, grid.nr)),
+            slice(max(j0 - 1, 0), min(j1 + 1, grid.nz)))
+
+
+def _live_box(values: np.ndarray, delta: float):
+    """Slices of the bounding box of the cells where |values| <= delta fails
+    (NaN included), or None when there is none."""
+    live = ~(np.abs(values) <= delta)
+    rows = np.flatnonzero(live.any(axis=1))
+    if rows.size == 0:
+        return None
+    cols = np.flatnonzero(live[rows[0]:rows[-1] + 1].any(axis=0))
+    return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
+
+
+def _overlap(a, b):
+    """The cells two boxes of slices share, or None."""
+    box = tuple(slice(max(s.start, t.start), min(s.stop, t.stop)) for s, t in zip(a, b))
+    return box if all(s.start < s.stop for s in box) else None
+
+
+def _local(box, origin) -> tuple:
+    """The slices of box counted from the corner of origin, a box holding it."""
+    return tuple(slice(s.start - o.start, s.stop - o.start) for s, o in zip(box, origin))
+
+
+def _shape(box) -> tuple:
+    return tuple(s.stop - s.start for s in box)
 
 
 def renorm_residual(
@@ -360,6 +393,15 @@ def renorm_residual(
     midpoint quadrature in space, normalized by the test-function norm.
     R vanishes (to discretization order) iff xi is transported in the
     renormalized sense for this beta.
+
+    beta(xi) vanishes where |xi| <= beta.delta, so beta is evaluated only on
+    each snapshot's bounding box of the other cells, and a test's space
+    integrals over a block of times are formed only where its support box
+    meets the block's hull of those boxes (0 where it misses them).  The
+    products keep the full support box, filled with +0 off the hull, so each
+    integral sums the same nonzero terms in the same order as on the whole
+    grid: a +0 in place of a -0 can change the sign of a zero integral only,
+    which the absolute value drops.
     """
     times = _shared_times(xi_series, velocity_series, float(xi_series.times[-1]))
     tests = list(tests)
@@ -379,17 +421,28 @@ def renorm_residual(
 
     # int beta(xi_k) (b, u_r b_r, u_z b_z) r d(r,z) for every time k and test,
     # as one (times x box cells) @ (box cells) product per test and block of times
-    integrals = np.empty((3, times.size, len(tests)))
+    integrals = np.zeros((3, times.size, len(tests)))
     for start in range(0, times.size, _RENORM_BLOCK):
         stop = min(start + _RENORM_BLOCK, times.size)
-        beta_w = np.empty((3, stop - start, grid.nr, grid.nz))
-        for row, k in enumerate(range(start, stop)):
-            bw = beta.value(xi_series.fields[k].values) * w
+        live = {k: _live_box(xi_series.fields[k].values, beta.delta) for k in range(start, stop)}
+        live = {k: box for k, box in live.items() if box is not None}
+        if not live:
+            continue
+        hull = tuple(slice(min(box[a].start for box in live.values()),
+                           max(box[a].stop for box in live.values())) for a in (0, 1))
+        beta_w = np.zeros((3, stop - start, *_shape(hull)))
+        for k, box in live.items():
+            bw = beta.value(xi_series.fields[k].values[box]) * w[box[0]]
             u = velocity_series.fields[k]
-            beta_w[:, row] = bw, bw * u.u_r, bw * u.u_z
-        for j, ((rows, cols), part) in enumerate(zip(boxes, parts)):
-            block = beta_w[:, :, rows, cols].reshape(3, stop - start, -1)
-            integrals[:, start:stop, j] = (block @ part)[..., 0]
+            beta_w[(slice(None), k - start, *_local(box, hull))] = (
+                bw, bw * u.u_r[box], bw * u.u_z[box])
+        for j, (box, part) in enumerate(zip(boxes, parts)):
+            shared = _overlap(box, hull)
+            if shared is None:
+                continue
+            block = np.zeros((3, stop - start, *_shape(box)))
+            block[(..., *_local(shared, box))] = beta_w[(..., *_local(shared, hull))]
+            integrals[:, start:stop, j] = (block.reshape(3, stop - start, -1) @ part)[..., 0]
     spatial = dwt * integrals[0] + wt * (integrals[1] + integrals[2])
     total = 0.5 * np.diff(times) @ (spatial[1:] + spatial[:-1]) + wt[0] * integrals[0, 0]
     norms = np.array([f.norm() for f in tests])

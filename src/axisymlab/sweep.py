@@ -78,9 +78,10 @@ def sweep(
 ):
     """Run the viscosity ladder and aggregate the compactness diagnostics.
 
-    base_config is a config document whose nu entry is ignored in favor of
-    nu_list; it must carry a fixed dt.  Member outputs land in
-    out_dir/nu_<value>/; the aggregate report in out_dir/sweep_summary.json.
+    base_config is a config document, checked once here; each member runs
+    it with its own nu from nu_list, and it must carry a fixed dt.  Member
+    outputs land in out_dir/nu_<value>/; the aggregate report in
+    out_dir/sweep_summary.json.
     A member failure persists the summary of completed members and re-raises.
     """
     nus = [float(v) for v in nu_list]
@@ -91,7 +92,7 @@ def sweep(
     # NaN passes the order check above, since every comparison with it is False
     if not all(0.0 < v < np.inf for v in nus):
         raise ConfigError(f"sweep viscosities must be positive and finite, got {nus}")
-    config = RunConfig.from_dict(dict(base_config, nu=nus[0]))
+    config = RunConfig.from_dict(base_config)
     if config.plan.dt is None:
         raise ConfigError(
             "sweep members must share a fixed dt schedule; set 'dt' in the config"

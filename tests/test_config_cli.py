@@ -154,6 +154,36 @@ def test_load_config_file_errors(tmp_path):
         load_config_file(str(bad))
 
 
+def test_each_command_checks_its_config_once(tmp_path, monkeypatch, capsys):
+    # load_config_file only parses; the command's own RunConfig.from_dict checks
+    calls = []
+    check = RunConfig.__dict__["from_dict"].__func__
+
+    def counted(cls, doc):
+        calls.append(doc)
+        return check(cls, doc)
+
+    monkeypatch.setattr(RunConfig, "from_dict", classmethod(counted))
+    run = tmp_path / "run"
+    assert cli_main(["run", "--config", write_config(tmp_path, base_doc()), "--out", str(run)]) == 0
+    assert len(calls) == 1
+    assert cli_main(["renorm-check", "--run", str(run), "--tests", "2"]) == 0
+    assert len(calls) == 2
+    assert cli_main(["sweep", "--config", write_config(tmp_path, sweep_doc(), "sweep.json"),
+                     "--nus", _LADDER, "--out", str(tmp_path / "sweep")]) == 0
+    assert len(calls) == 3
+
+
+def test_a_config_that_is_not_an_object_exits_1(tmp_path, capsys):
+    path = write_config(tmp_path, [1, 2, 3])
+    assert load_config_file(path) == [1, 2, 3]
+    assert cli_main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert cli_main(["sweep", "--config", path, "--nus", _LADDER,
+                     "--out", str(tmp_path / "s")]) == 1
+    assert capsys.readouterr().err.count("document must be an object") == 2
+    assert not [p for p in tmp_path.iterdir() if p.is_dir()]
+
+
 def test_run_from_config_outputs(tmp_path):
     out = tmp_path / "run"
     final, records = run_from_config(base_doc(), str(out))

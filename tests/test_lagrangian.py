@@ -1,4 +1,5 @@
 import csv
+import json
 from functools import partial
 
 import numpy as np
@@ -8,11 +9,13 @@ from axisymlab import (
     RenormFunction,
     ScalarField,
     ScalarSeries,
+    SpaceTimeBump,
     VelocityField,
     VelocitySeries,
     beta_integral,
     build_grid,
     built_in_renorm_functions,
+    cli_main,
     composition_check,
     duality_check,
     jacobian_check,
@@ -25,6 +28,7 @@ from axisymlab import (
     solve_forward_transport,
     trace_flow,
 )
+from axisymlab import TestFunctionSpec as FnSpec
 from axisymlab.evolution import advect_semi_lagrangian, diffuse_relative_vorticity
 from axisymlab.lagrangian import _diffuse_dual, _march
 from axisymlab.test_functions import random_test_functions
@@ -327,6 +331,134 @@ def _swirl(g):
     r2d, z2d = g.meshes()
     env = np.exp(-(r2d**2) - z2d**2)
     return VelocityField(g, 2.0 * r2d * z2d * env, (2.0 - 2.0 * r2d**2) * env)
+
+
+def _full_grid_renorm_residual(xi_series, velocity_series, beta, tests):
+    """renorm_residual as it was before it evaluated beta on the live cells
+    only: beta on every cell of every snapshot, and each test's products over
+    its whole support box.  The oracle of the live-cell version, bit for bit."""
+    times = xi_series.times
+    tests = list(tests)
+    grid = xi_series.grid
+    r2d, z2d = grid.meshes()
+    w = grid.r_col * grid.cell_area
+    boxes = []
+    for f in tests:
+        r_lo, r_hi, z_lo, z_hi = f.space.support_box()
+        i0, i1 = np.searchsorted(grid.r_centers, (r_lo, r_hi))
+        j0, j1 = np.searchsorted(grid.z_centers, (z_lo, z_hi))
+        boxes.append((slice(max(i0 - 1, 0), i1 + 1), slice(max(j0 - 1, 0), j1 + 1)))
+    parts = [np.stack(f.space.evaluate(r2d[box], z2d[box])).reshape(3, -1, 1)
+             for f, box in zip(tests, boxes)]
+    wt, dwt = np.moveaxis(np.reshape([f.time_weight(times - times[0]) for f in tests],
+                                     (len(tests), 2, times.size)), 0, -1)
+    integrals = np.empty((3, times.size, len(tests)))
+    for start in range(0, times.size, 8):
+        stop = min(start + 8, times.size)
+        beta_w = np.empty((3, stop - start, grid.nr, grid.nz))
+        for row, k in enumerate(range(start, stop)):
+            bw = beta.value(xi_series.fields[k].values) * w
+            u = velocity_series.fields[k]
+            beta_w[:, row] = bw, bw * u.u_r, bw * u.u_z
+        for j, ((rows, cols), part) in enumerate(zip(boxes, parts)):
+            block = beta_w[:, :, rows, cols].reshape(3, stop - start, -1)
+            integrals[:, start:stop, j] = (block @ part)[..., 0]
+    spatial = dwt * integrals[0] + wt * (integrals[1] + integrals[2])
+    total = 0.5 * np.diff(times) @ (spatial[1:] + spatial[:-1]) + wt[0] * integrals[0, 0]
+    norms = np.array([f.norm() for f in tests])
+    return float(np.max(np.abs(total) / norms, initial=0.0))
+
+
+def _far_bump(r0, z0):
+    return FnSpec("gaussian_bump", {"r0": r0, "z0": z0, "wr": 0.2, "wz": 0.3, "amplitude": 1.0})
+
+
+def _renorm_case(kind):
+    """(xi series, velocity series, test library): a blob carried 20 steps by
+    the swirl on a 32x64 grid, live (|xi| > delta) on part of it only."""
+    g = build_grid(32, 64, 3.0, -3.0, 3.0)
+    r2d, z2d = g.meshes()
+    u = _swirl(g)
+    blob = np.exp(-((r2d - 1.2) ** 2 + z2d**2) / 0.3)
+    theta = {"sign_change": blob * np.sin(2.0 * z2d),  # the odd betas give -0 on [-delta, 0)
+             "below_delta": 0.049 * blob}.get(kind, blob)
+    xis = solve_forward_transport(VelocitySeries.frozen(u, 1.0),
+                                  ScalarField(g, theta, role="passive_scalar"), 1.0, 20)
+    velocities = [u] * xis.times.size
+    if kind == "moving":
+        velocities = [VelocityField(g, u.u_r, u.u_z + 0.01 * k) for k in range(xis.times.size)]
+    library = renorm_test_library(12, 1.0, rng_seed=5)
+    if kind == "missed":  # supports far from the blob's orbit around (1, 0)
+        library = [SpaceTimeBump(_far_bump(r0, z0), tau, profile)
+                   for r0, z0, tau, profile in [(2.7, 2.5, 0.9, "decay"), (2.7, -2.5, 0.7, "bump"),
+                                                (0.5, 2.6, 0.8, "decay")]]
+    return xis, VelocitySeries(xis.times, velocities), library
+
+
+@pytest.mark.parametrize("kind", ["frozen", "moving", "sign_change", "below_delta", "missed"])
+def test_renorm_residual_is_the_full_grid_residual_bit_for_bit(kind):
+    xis, us, library = _renorm_case(kind)
+    for beta in built_in_renorm_functions().values():
+        expect = _full_grid_renorm_residual(xis, us, beta, library)
+        assert renorm_residual(xis, us, beta, library).hex() == expect.hex()
+        assert (expect == 0.0) == (kind in ("below_delta", "missed"))
+        for f in library:  # each test alone, so that no maximum hides a difference
+            alone = _full_grid_renorm_residual(xis, us, beta, [f])
+            assert renorm_residual(xis, us, beta, [f]).hex() == alone.hex()
+
+
+def test_renorm_residual_evaluates_beta_on_the_live_boxes_only(monkeypatch):
+    xis, us, library = _renorm_case("frozen")
+    beta = built_in_renorm_functions()["cubic_odd"]
+    live_cells = 0
+    for xi in xis.fields:
+        rows, cols = np.nonzero(np.abs(xi.values) > beta.delta)
+        live_cells += (np.ptp(rows) + 1) * (np.ptp(cols) + 1)
+    assert live_cells < xis.times.size * xis.grid.nr * xis.grid.nz / 2
+    given = []
+    value = RenormFunction.value
+    monkeypatch.setattr(RenormFunction, "value",
+                        lambda self, s: given.append(np.size(s)) or value(self, s))
+    assert renorm_residual(xis, us, beta, library) > 0.0
+    assert 0 < sum(given) <= live_cells
+
+
+def test_renorm_functions_are_elementwise_on_strided_views():
+    # renorm_residual evaluates beta on sub-boxes of a snapshot, which are
+    # strided views; every value must carry the bits it has on the whole
+    # array, whichever vector loop numpy picks for either
+    rng = np.random.default_rng(3)
+    g = build_grid(40, 96, 3.0, -3.0, 3.0)
+    r2d, z2d = g.meshes()
+    fields = [1.5 * np.exp(-((r2d - 1.2) ** 2 + z2d**2) / 0.5) * np.sin(3.0 * z2d),
+              2.0 * rng.standard_normal((40, 96))]
+    for xi in fields:
+        for beta in built_in_renorm_functions().values():
+            whole = beta.value(xi)
+            for box in [(slice(3, 31), slice(7, 90)), (slice(1, None, 3), slice(2, 95, 2))]:
+                assert not xi[box].flags.c_contiguous
+                assert beta.value(xi[box]).tobytes() == np.ascontiguousarray(whole[box]).tobytes()
+
+
+def test_renorm_check_report_matches_the_full_grid_oracle(tmp_path, capsys):
+    doc = {
+        "grid": {"nr": 24, "nz": 48, "r_max": 3.0, "z_min": -3.0, "z_max": 3.0},
+        "nu": 1e-3, "tfinal": 0.1, "dt": 0.01, "scheme": "xi_semilagrangian",
+        "p_list": [1.0, 2.0], "rng_seed": 4,
+        "initial_condition": {"kind": "gaussian_ring", "r0": 1.0, "z0": 0.0,
+                              "sigma": 0.3, "amplitude": 1.0},
+    }
+    run_from_config(doc, str(tmp_path))
+    assert cli_main(["renorm-check", "--run", str(tmp_path), "--tests", "6"]) == 0
+    xis, us = replay_run_series(doc)
+    library = renorm_test_library(6, doc["tfinal"], rng_seed=4)
+    residuals = {name: _full_grid_renorm_residual(xis, us, beta, library)
+                 for name, beta in built_in_renorm_functions().items()}
+    assert all(v > 0.0 for v in residuals.values())
+    report = {"run": str(tmp_path), "tfinal": 0.1, "nu": 1e-3, "tests": 6,
+              "residuals": residuals}
+    expected = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "renorm_report.json").read_text(encoding="utf-8") == expected
 
 
 def test_forward_transport_is_repeated_semi_lagrangian_step():
