@@ -35,11 +35,19 @@ from .grid import (
 
 def lp_norm_xi(xi: ScalarField, p) -> float:
     """Three-dimensional L^p norm of the relative vorticity."""
+    return _lp_norm(xi, np.abs(xi.values), p)
+
+
+def _lp_norm(xi: ScalarField, a: np.ndarray, p) -> float:
+    """lp_norm_xi(xi, p) from a = |xi|, with integrate_weighted(xi, 1, p)'s arithmetic."""
     if p == np.inf or p == "inf":
-        return float(np.max(np.abs(xi.values)))
-    if p < 1:
+        return float(np.max(a))
+    if not (p >= 1):
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    return float((2.0 * np.pi * integrate_weighted(xi, 1, p)) ** (1.0 / p))
+    v = xi.values
+    integrand = a if p == 1.0 else v * v if p == 2.0 else a**p
+    weighted = float(np.sum(integrand * xi.grid.r_col) * xi.grid.cell_area)
+    return float((2.0 * np.pi * weighted) ** (1.0 / p))
 
 
 def impulse(xi: ScalarField) -> float:
@@ -90,13 +98,13 @@ def enstrophy_identity_residual(u: VelocityField, xi: ScalarField) -> float:
     return abs(g - ens) / ens
 
 
-def _dissipation_parts(xi: ScalarField):
-    """What dissipation_integral needs of xi for every p: |grad xi|^2, the
-    mask of |xi| above its round-off floor, and |xi| with 1 off the mask."""
+def _dissipation_parts(xi: ScalarField, a: np.ndarray, a_max: float):
+    """What dissipation_integral needs of xi for every p, given a = |xi| and
+    a_max = max|xi|: |grad xi|^2, the mask of |xi| above its round-off floor,
+    and |xi| with 1 off the mask."""
     gr, gz = gradient(xi)
     g2 = gr.values**2 + gz.values**2
-    a = np.abs(xi.values)
-    mask = a > 1e-14 * max(float(np.max(a)), 1e-300)
+    mask = a > 1e-14 * max(a_max, 1e-300)
     return g2, mask, np.where(mask, a, 1.0)
 
 
@@ -122,7 +130,8 @@ def dissipation_integral(xi: ScalarField, nu: float, p: float) -> float:
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    return _dissipation(_dissipation_parts(xi), xi, nu, p)
+    a = np.abs(xi.values)
+    return _dissipation(_dissipation_parts(xi, a, float(np.max(a))), xi, nu, p)
 
 
 @dataclass
@@ -145,14 +154,16 @@ def compute_record(state, ps, energy0: float | None = None) -> DiagnosticsRecord
     if len(ps) == 0:
         raise ValueError("at least one monitoring exponent is required")
     xi = state.xi
-    lp = {p: lp_norm_xi(xi, p) for p in ps}
+    a = np.abs(xi.values)  # one |xi| for every norm and the dissipation
+    linf = float(np.max(a))
+    lp = {p: _lp_norm(xi, a, p) for p in ps}
     e = kinetic_energy(state.u)
-    parts = _dissipation_parts(xi)  # one gradient for every p
+    parts = _dissipation_parts(xi, a, linf)  # one gradient for every p
     return DiagnosticsRecord(
         t=state.t,
         nu=state.nu,
         lp_norms=lp,
-        linf=lp_norm_xi(xi, np.inf),
+        linf=linf,
         impulse=impulse(xi),
         energy=e,
         enstrophy=enstrophy(xi),

@@ -176,39 +176,46 @@ def diffuse_vorticity(
 # advection
 
 
-def _departure(grid: HalfPlaneGrid, u: VelocityField, dt: float):
-    """Departure points (r, z) of the cell centres over dt, with their StencilPlan.
+def _departure(grid: HalfPlaneGrid, u: VelocityField, dt: float, plan: StencilPlan):
+    """Departure points (r, z) of the cell centres over dt, with plan located there.
 
     An RK2 midpoint integration of dx/dt = u backward in time, u held fixed
-    over the step.  They depend only on u and dt, so a march whose velocity
-    stays the same object may compute them once and hand them to every step.
+    over the step.  plan is first located at the midpoints to sample u, then
+    relocated at the departure points, so a caller that owns one plan
+    computes every step's departures in the same arrays.  They depend only
+    on u and dt, so a march whose velocity stays the same object may compute
+    them once and hand them to every step.
     """
     r2d, z2d = grid.meshes()
     rm = r2d - 0.5 * dt * u.u_r
     zm = z2d - 0.5 * dt * u.u_z
-    urm, uzm = sample_velocity(u, rm, zm)
+    urm, uzm = sample_velocity(u, rm, zm, plan)
     dep_r = r2d - dt * urm
     dep_z = z2d - dt * uzm
-    return dep_r, dep_z, StencilPlan(grid, dep_r, dep_z)
+    plan.locate(dep_r, dep_z)
+    return dep_r, dep_z, plan
 
 
 def advect_semi_lagrangian(
     field: ScalarField, u: VelocityField, dt: float, source=None, t: float = 0.0,
-    departure=None,
+    departure=None, plan: StencilPlan | None = None,
 ) -> ScalarField:
     """Transport a field along characteristics of u over time dt.
 
     Departure points come from _departure (departure, when given, is its
-    result for this u and dt); values are picked up by bicubic
-    interpolation with the field's own axis parity, clipped to the range of
-    the 4x4 stencil each value reads, so trajectories dipping across r = 0
-    are handled by reflection and no new extremum appears.  A source,
-    callable (t, r, z) -> array, is added by the trapezoid rule along the
-    characteristic: at the departure point at time t and at the arrival
-    point at time t + dt.
+    result for this u and dt, its plan still located there; otherwise
+    _departure relocates plan, a StencilPlan the caller owns, or a new
+    one); values are picked up by bicubic interpolation with the field's
+    own axis parity, clipped to the range of the 4x4 stencil each value
+    reads, so trajectories dipping across r = 0 are handled by reflection
+    and no new extremum appears.  A source, callable (t, r, z) -> array, is added by
+    the trapezoid rule along the characteristic: at the departure point at
+    time t and at the arrival point at time t + dt.
     """
     grid = field.grid
-    dep_r, dep_z, plan = departure if departure is not None else _departure(grid, u, dt)
+    if departure is None:
+        departure = _departure(grid, u, dt, StencilPlan(grid) if plan is None else plan)
+    dep_r, dep_z, plan = departure
     vals = interp_bicubic(
         field.values, grid, dep_r, dep_z, field.axis_symmetry, clip=True, plan=plan
     )
@@ -220,15 +227,16 @@ def advect_semi_lagrangian(
 
 def _split_step(
     field: ScalarField, u: VelocityField, dt: float, diffuse, source=None, t: float = 0.0,
-    departure=None,
+    departure=None, plan: StencilPlan | None = None,
 ) -> ScalarField:
     """One Strang-split step: diffuse dt/2, advect dt with source, diffuse dt/2.
 
     diffuse(field, dt=half_dt) -> field is the diffusion half step (a copy
-    at nu = 0); source, t and departure are passed to advect_semi_lagrangian.
+    at nu = 0); source, t, departure and plan are passed to
+    advect_semi_lagrangian.
     """
     field = diffuse(field, dt=0.5 * dt)
-    field = advect_semi_lagrangian(field, u, dt, source, t, departure)
+    field = advect_semi_lagrangian(field, u, dt, source, t, departure, plan)
     return diffuse(field, dt=0.5 * dt)
 
 
@@ -289,7 +297,9 @@ def _advanced(state: FluidState, xi: ScalarField, dt: float) -> FluidState:
     )
 
 
-def step_viscous(state: FluidState, dt: float, theta: float = 0.5) -> FluidState:
+def step_viscous(
+    state: FluidState, dt: float, theta: float = 0.5, stencil: StencilPlan | None = None
+) -> FluidState:
     """One Strang-split step: diffuse dt/2, advect dt, diffuse dt/2, re-solve.
 
     The advection uses the velocity extrapolated to the step midpoint from
@@ -297,9 +307,12 @@ def step_viscous(state: FluidState, dt: float, theta: float = 0.5) -> FluidState
     run) advects with state.u.  The returned state carries state.u and dt as
     its history.  theta weights the diffusion, whose theta_step rejects a bad
     dt or theta even at nu = 0; the boundary treatment comes from the state.
+    stencil, when given, is a StencilPlan on the state's grid that the caller
+    owns; the step relocates it at its departure points (run passes one plan
+    to every step).  Without one the step builds its own.
     """
     diffuse = partial(diffuse_relative_vorticity, nu=state.nu, theta=theta)
-    xi = _split_step(state.xi, _midpoint_velocity(state, dt), dt, diffuse)
+    xi = _split_step(state.xi, _midpoint_velocity(state, dt), dt, diffuse, plan=stencil)
     return _advanced(state, xi, dt)
 
 
@@ -412,7 +425,11 @@ def run(
     plan = (plan or TimeStepPlan()).validated()
     if t_final < state.t:
         raise ValueError(f"t_final {t_final} is before state time {state.t}")
-    stepper = step_viscous if plan.scheme == "xi_semilagrangian" else step_conservative_omega
+    if plan.scheme == "xi_semilagrangian":
+        # one stencil plan for the whole run, relocated by every step
+        stepper, extra = step_viscous, (StencilPlan(state.grid),)
+    else:
+        stepper, extra = step_conservative_omega, ()
 
     records = []
     if sample_hook is not None:
@@ -433,7 +450,7 @@ def run(
         dt = plan.dt if plan.dt is not None else cfl_dt(state, plan.cfl, dt_max=cap)
         dt = min(dt, t_final - state.t)
         try:
-            state = stepper(state, dt, plan.theta)
+            state = stepper(state, dt, plan.theta, *extra)
         except NonFiniteFieldError as exc:
             # fields validate finiteness on construction; any other error is
             # not a numerical failure and propagates unchanged

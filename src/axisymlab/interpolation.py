@@ -13,7 +13,9 @@ leaves the range of the data it reads, so no new extremum appears and the
 max norm cannot grow; the clip only acts near extrema of the data.
 
 The indices and weights of a set of query points form a StencilPlan, which
-serves every field read at those points.
+serves every field read at those points.  A loop that reads new points on
+every step owns one plan and relocates it in place (StencilPlan.locate), so
+its arrays are allocated once; a relocated plan reads only at its new points.
 """
 
 from __future__ import annotations
@@ -23,14 +25,33 @@ import numpy as np
 from .grid import HalfPlaneGrid, VelocityField
 
 
-def _catmull_rom_weights(t: np.ndarray):
-    t2 = t * t
-    t3 = t2 * t
-    w0 = 0.5 * (-t + 2.0 * t2 - t3)
-    w1 = 0.5 * (2.0 - 5.0 * t2 + 3.0 * t3)
-    w2 = 0.5 * (t + 4.0 * t2 - 3.0 * t3)
-    w3 = 0.5 * (-t2 + t3)
-    return (w0, w1, w2, w3)
+def _catmull_rom_weights(t: np.ndarray, w: np.ndarray, t2: np.ndarray, t3: np.ndarray) -> None:
+    """Write the four Catmull-Rom weights of offsets t into the rows of w.
+
+    w0 = 0.5 (-t + 2 t^2 - t^3), w1 = 0.5 (2 - 5 t^2 + 3 t^3),
+    w2 = 0.5 (t + 4 t^2 - 3 t^3) and w3 = 0.5 (-t^2 + t^3), each with its
+    operations in that written order, so a weight does not depend on where
+    it is written.  t2 and t3 are scratch of t's shape; the rows of w serve
+    as scratch until their own weight is written.
+    """
+    w0, w1, w2, w3 = w
+    np.multiply(t, t, out=t2)
+    np.multiply(t2, t, out=t3)
+    np.negative(t, out=w0)
+    w0 += np.multiply(2.0, t2, out=w1)
+    w0 -= t3
+    w0 *= 0.5
+    np.multiply(4.0, t2, out=w2)
+    np.add(t, w2, out=w2)
+    w2 -= np.multiply(3.0, t3, out=w1)
+    w2 *= 0.5
+    np.multiply(5.0, t2, out=w3)
+    np.subtract(2.0, w3, out=w3)
+    np.add(w3, w1, out=w1)
+    w1 *= 0.5
+    np.negative(t2, out=w3)
+    w3 += t3
+    w3 *= 0.5
 
 
 def _padded(values: np.ndarray, axis_symmetry: str) -> np.ndarray:
@@ -61,31 +82,67 @@ class StencilPlan:
     """Where and with what weights a set of query points reads a grid.
 
     For one set of query points on one grid: the flat index of each point's
-    4x4 stencil corner in the raveled padded array, the Catmull-Rom weights
-    along r and z, the points mirrored across the axis (r < 0) and the
-    query shape.  interp_bicubic(..., plan=) interpolates any field on the
-    grid at the points by 16 gathers, so fields read at the same points
-    share one plan.
+    4x4 stencil corner in the raveled padded array (base), the Catmull-Rom
+    weights along r (rows 0-3 of weights) and z (rows 4-7), the points
+    mirrored across the axis (r < 0) and the query shape.
+    interp_bicubic(..., plan=) interpolates any field on the grid at the
+    points by 16 gathers, so fields read at the same points share one plan.
+
+    locate() relocates a plan in place: it rebuilds the plan at new query
+    points into the same arrays, which are allocated again only when the
+    number of points changes.  A plan that a loop relocates on every step
+    therefore has one owner, the loop, and a relocated plan reads only at
+    its new points: interp_bicubic rejects any query arrays other than the
+    ones it was last located at.  StencilPlan(grid) starts at no points.
     """
 
-    def __init__(self, grid: HalfPlaneGrid, r_query, z_query):
+    def __init__(self, grid: HalfPlaneGrid, r_query=(), z_query=()):
+        self.grid = grid
+        self.grid_shape = (grid.nr, grid.nz)
+        self.row = grid.nz + 4
+        self.base = None
+        self.locate(r_query, z_query)
+
+    def locate(self, r_query, z_query) -> None:
+        """Rebuild the plan at the query points (r_query, z_query), in place."""
+        self.r_query = self.z_query = None  # reads nothing until located
         rq = np.asarray(r_query, dtype=np.float64)
         zq = np.asarray(z_query, dtype=np.float64)
+        n = rq.size
+        if self.base is None or self.base.size != n:
+            self.base = np.empty(n, dtype=np.int64)
+            self.mirrored = np.empty(n, dtype=bool)
+            self.weights = np.empty((8, n))
+            self.wr, self.wz = self.weights[:4], self.weights[4:]
+            self._scratch = np.empty((4, n))
         self.shape = rq.shape
-        rq = rq.ravel()
-        zq = zq.ravel()
-        self.mirrored = rq < 0.0
-        nr, nz = grid.nr, grid.nz
-        x = np.clip(np.abs(rq) / grid.hr - 0.5, -0.5, nr - 0.5)
-        y = np.clip((zq - grid.z_min) / grid.hz - 0.5, -0.5, nz - 0.5)
-        i0 = np.floor(x).astype(np.int64)
-        j0 = np.floor(y).astype(np.int64)
-        self.wr = _catmull_rom_weights(x - i0)
-        self.wz = _catmull_rom_weights(y - j0)
-        self.grid_shape = (nr, nz)
-        self.row = nz + 4
-        # padded index of stencil offset (-1, -1)
-        self.base = (i0 + 1) * self.row + (j0 + 1)
+        grid = self.grid
+        nr, nz = self.grid_shape
+        x, y, fx, fy = (s.reshape(rq.shape) for s in self._scratch)
+        np.less(rq, 0.0, out=self.mirrored.reshape(rq.shape))
+        # x = clip(|r| / hr - 0.5, -0.5, nr - 0.5), y likewise along z
+        np.abs(rq, out=x)
+        x /= grid.hr
+        x -= 0.5
+        np.clip(x, -0.5, nr - 0.5, out=x)
+        np.subtract(zq, grid.z_min, out=y)
+        y /= grid.hz
+        y -= 0.5
+        np.clip(y, -0.5, nz - 0.5, out=y)
+        np.floor(x, out=fx)
+        np.floor(y, out=fy)
+        x -= fx
+        y -= fy
+        # padded index of stencil offset (-1, -1): (i0 + 1) * row + (j0 + 1),
+        # exact in doubles since every term is a small integer
+        fx += 1.0
+        fx *= self.row
+        fx += fy
+        fx += 1.0
+        np.copyto(self.base.reshape(rq.shape), fx, casting="unsafe")
+        _catmull_rom_weights(x, self.wr.reshape(4, *rq.shape), fx, fy)
+        _catmull_rom_weights(y, self.wz.reshape(4, *rq.shape), fx, fy)
+        self.r_query, self.z_query = r_query, z_query
 
     def _apply(self, values: np.ndarray, axis_symmetry: str, clip: bool) -> np.ndarray:
         if values.shape != self.grid_shape:
@@ -133,27 +190,33 @@ def interp_bicubic(
     flip when axis_symmetry is "odd".  Points outside the grid are clamped
     to the boundary cell layer.  clip=True clamps each value to the min/max
     of the 4x4 stencil it was interpolated from.  plan, when given, is the
-    StencilPlan of these same query points on this grid; without one a plan
-    is built for this call.
+    StencilPlan last located at these very query arrays on this grid (any
+    other arrays raise ValueError); without one a plan is built for this
+    call.
     """
     if axis_symmetry not in ("even", "odd", "none"):
         raise ValueError(f"unknown axis symmetry {axis_symmetry!r}")
     if plan is None:
         plan = StencilPlan(grid, r_query, z_query)
-    elif plan.shape != np.shape(r_query):
-        raise ValueError(f"plan for points of shape {plan.shape}, "
+    elif r_query is not plan.r_query or z_query is not plan.z_query:
+        raise ValueError(f"plan for points of shape {plan.shape} located at other arrays, "
                          f"queries of shape {np.shape(r_query)}")
     return plan._apply(values, axis_symmetry, clip)
 
 
-def sample_velocity(u: VelocityField, r_query, z_query):
+def sample_velocity(u: VelocityField, r_query, z_query, plan: StencilPlan | None = None):
     """Sample both velocity components at arbitrary points.
 
     The radial component is odd across the axis and the axial component is
     even, so trajectories crossing r = 0 see a smooth field.  Both
-    components are read through one StencilPlan.
+    components are read through one StencilPlan: plan, when given, is a
+    plan on u's grid that the caller owns, relocated here at the points;
+    without one a plan is built for this call.
     """
-    plan = StencilPlan(u.grid, r_query, z_query)
+    if plan is None:
+        plan = StencilPlan(u.grid, r_query, z_query)
+    else:
+        plan.locate(r_query, z_query)
     ur = interp_bicubic(u.u_r, u.grid, r_query, z_query, "odd", plan=plan)
     uz = interp_bicubic(u.u_z, u.grid, r_query, z_query, "even", plan=plan)
     return ur, uz

@@ -37,7 +37,7 @@ import numpy as np
 from .biot_savart import stream_operator_radial
 from .evolution import _advective_dt, _departure, _split_step, diffuse_relative_vorticity, run
 from .grid import HalfPlaneGrid, ScalarField, VelocityField
-from .interpolation import interp_bicubic, sample_velocity
+from .interpolation import StencilPlan, interp_bicubic, sample_velocity
 from .separable import theta_step
 from .test_functions import SpaceTimeBump
 
@@ -198,9 +198,10 @@ def trace_flow(
     active = np.ones(n, dtype=bool)
     flagged = np.zeros(n, dtype=bool)
 
+    plan = StencilPlan(grid)  # relocated at every RK4 stage
+
     def vel(t, pos):
-        u = series.at(t)
-        ur, uz = sample_velocity(u, pos[:, 0], pos[:, 1])
+        ur, uz = sample_velocity(series.at(t), pos[:, 0], pos[:, 1], plan)
         return np.column_stack([ur, uz])
 
     x = seeds.copy()
@@ -487,7 +488,8 @@ def _march(velocity, datum: ScalarField, grid, T: float, n_steps: int, diffuse, 
     The step from t to t + dt advects with velocity(t + dt / 2).  Departure
     points depend only on that velocity and dt, so they are computed again
     only when velocity returns a different object (every step of a
-    time-varying series, once on a frozen one).
+    time-varying series, once on a frozen one), each time into the march's
+    one StencilPlan.
     """
     if n_steps < 1 or T <= 0.0:
         raise ValueError("need T > 0 and at least one step")
@@ -497,10 +499,11 @@ def _march(velocity, datum: ScalarField, grid, T: float, n_steps: int, diffuse, 
     times = dt * np.arange(n_steps + 1)
     fields = [datum.copy()]
     u_held = departure = None
+    plan = StencilPlan(grid)
     for t in times[:-1]:
         u = velocity(t + 0.5 * dt)
         if u is not u_held:
-            u_held, departure = u, _departure(datum.grid, u, dt)
+            u_held, departure = u, _departure(grid, u, dt, plan)
         fields.append(_split_step(fields[-1], u, dt, diffuse, source, t, departure))
     return times, fields
 

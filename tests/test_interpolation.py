@@ -11,6 +11,17 @@ from axisymlab.interpolation import (
 )
 
 
+def _reference_weights(t):
+    """The Catmull-Rom weights as plans computed them before they were located in place."""
+    t2 = t * t
+    t3 = t2 * t
+    w0 = 0.5 * (-t + 2.0 * t2 - t3)
+    w1 = 0.5 * (2.0 - 5.0 * t2 + 3.0 * t3)
+    w2 = 0.5 * (t + 4.0 * t2 - 3.0 * t3)
+    w3 = 0.5 * (-t2 + t3)
+    return (w0, w1, w2, w3)
+
+
 def _reference_padded(values, axis_symmetry):
     """The ghost layers that _padded wrote row by row, kept as the oracle."""
     nr, nz = values.shape
@@ -47,8 +58,8 @@ def _reference_bicubic(values, grid, r_query, z_query, axis_symmetry="even", cli
     i0 = np.floor(x).astype(np.int64)
     j0 = np.floor(y).astype(np.int64)
     P = _reference_padded(values, axis_symmetry)
-    wr = _catmull_rom_weights(x - i0)
-    wz = _catmull_rom_weights(y - j0)
+    wr = _reference_weights(x - i0)
+    wz = _reference_weights(y - j0)
     out = np.zeros(rq.shape)
     lo = np.full(rq.shape, np.inf)
     hi = np.full(rq.shape, -np.inf)
@@ -125,12 +136,60 @@ def test_sample_velocity_shares_one_plan():
 
 def test_plan_rejects_other_points_and_grids():
     g = build_grid(12, 16, 1.2, -0.8, 0.8)
-    rq, zq = _queries(g, np.random.default_rng(5), (30,))
+    rng = np.random.default_rng(5)
+    rq, zq = _queries(g, rng, (30,))
     plan = StencilPlan(g, rq, zq)
     with pytest.raises(ValueError, match="plan for points"):
         interp_bicubic(np.zeros((12, 16)), g, rq[:10], zq[:10], plan=plan)
     with pytest.raises(ValueError, match="on a plan for"):
         interp_bicubic(np.zeros((8, 16)), g, rq, zq, plan=plan)
+    # relocated at other points of the same shape, the plan reads neither
+    # its old queries nor copies of its new ones
+    rq2, zq2 = _queries(g, rng, (30,))
+    plan.locate(rq2, zq2)
+    values = _field(g, rng)
+    for r, z in ((rq, zq), (rq2.copy(), zq2), (rq2, zq2.copy())):
+        with pytest.raises(ValueError, match="plan for points"):
+            interp_bicubic(values, g, r, z, plan=plan)
+    got = interp_bicubic(values, g, rq2, zq2, plan=plan)
+    assert got.tobytes() == _reference_bicubic(values, g, rq2, zq2).tobytes()
+    # a relocation that fails halfway leaves a plan that reads nowhere
+    with pytest.raises(ValueError, match="broadcast"):
+        plan.locate(rq, zq[:7])
+    with pytest.raises(ValueError, match="plan for points"):
+        interp_bicubic(values, g, rq2, zq2, plan=plan)
+
+
+def test_weights_in_place_equal_the_reference_bit_for_bit():
+    t = np.concatenate([[0.0, np.nextafter(1.0, 0.0), 0.5, 2.0**-30],
+                        np.random.default_rng(8).uniform(0.0, 1.0, 5000)])
+    w = np.empty((4, t.size))
+    _catmull_rom_weights(t, w, np.empty_like(t), np.empty_like(t))
+    for got, expect in zip(w, _reference_weights(t)):
+        assert got.tobytes() == expect.tobytes()
+
+
+def test_relocated_plan_equals_a_fresh_one():
+    # one plan walks through point sets of other sizes and shapes (the last
+    # reuses the arrays of the one before), with mirrored points and points
+    # clamped past every side, and reads each set as the reference loop does
+    g = build_grid(12, 16, 1.2, -0.8, 0.8)
+    rng = np.random.default_rng(9)
+    values = _field(g, rng)
+    plan = StencilPlan(g)
+    assert plan.shape == (0,)
+    for shape in ((500,), (25, 30), (500,), (20, 25)):
+        rq, zq = _queries(g, rng, shape)
+        assert np.any(rq < 0.0) and np.any(rq > g.r_max) and np.any(zq > g.z_max)
+        weights = plan.weights
+        plan.locate(rq, zq)
+        assert (plan.weights is weights) == (shape == (20, 25))
+        for parity in ("even", "odd", "none"):
+            for clip in (False, True):
+                got = interp_bicubic(values, g, rq, zq, parity, clip, plan=plan)
+                assert got.shape == shape
+                expect = _reference_bicubic(values, g, rq, zq, parity, clip)
+                assert got.tobytes() == expect.tobytes()
 
 
 def _stencil_range(values, grid, rq, zq, parity):

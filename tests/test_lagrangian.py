@@ -29,7 +29,15 @@ from axisymlab import (
     trace_flow,
 )
 from axisymlab import TestFunctionSpec as FnSpec
-from axisymlab.evolution import advect_semi_lagrangian, diffuse_relative_vorticity
+from axisymlab.evolution import (
+    TimeStepPlan,
+    advect_semi_lagrangian,
+    diffuse_relative_vorticity,
+    make_state,
+    run,
+)
+from axisymlab.initial_conditions import gaussian_ring_xi
+from axisymlab.interpolation import StencilPlan
 from axisymlab.lagrangian import _diffuse_dual, _march
 from axisymlab.test_functions import random_test_functions
 
@@ -512,6 +520,37 @@ def test_march_keeps_departures_without_changing_a_value():
                       partial(_diffuse_dual, nu=nu), lambda tau, r, z: chi(0.5 - tau, r, z))
     assert [f.values.tobytes() for f in backward.fields] == [
         f.values.tobytes() for f in fresh[::-1]]
+
+
+def test_each_loop_owns_one_stencil_plan(monkeypatch):
+    # the xi route's run, a trace and a time-varying march each build one
+    # plan and relocate it; the omega route needs none
+    built = []
+    real_init = StencilPlan.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StencilPlan, "__init__", counting)
+
+    def count(fn, *args, **kwargs):
+        built.clear()
+        out = fn(*args, **kwargs)
+        return len(built), out
+
+    g = build_grid(16, 32, 3.0, -3.0, 3.0)
+    r2d, z2d = g.meshes()
+    st = make_state(g, gaussian_ring_xi(g, 1.0, 0.0, 0.3, 1.0), 1e-2)
+    for scheme, plans in (("xi_semilagrangian", 1), ("omega_conservative", 0)):
+        n, (final, _) = count(run, st, 0.1, TimeStepPlan(dt=0.02, scheme=scheme))
+        assert (n, final.step_index) == (plans, 5)
+    series = VelocitySeries([0.0, 0.5], [_swirl(g), uniform_axial(g, 0.3)])
+    seeds = np.column_stack([np.linspace(0.2, 1.5, 12), np.linspace(-1.0, 1.0, 12)])
+    assert count(trace_flow, series, seeds, 0.5, n_steps=4)[0] == 1
+    theta = ScalarField(g, np.exp(-((r2d - 0.9) ** 2 + z2d**2) / 0.1), role="passive_scalar")
+    diffuse = partial(diffuse_relative_vorticity, nu=1e-2)
+    assert count(_march, series.at, theta, g, 0.5, 5, diffuse, None)[0] == 1
 
 
 def test_forward_transport_constant_source():
