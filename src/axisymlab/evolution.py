@@ -39,7 +39,7 @@ import numpy as np
 from .biot_savart import solve_stream_function, stream_operator_radial, velocity_from_stream
 from .exceptions import NonFiniteFieldError, NumericalBlowupError
 from .grid import HalfPlaneGrid, ScalarField, VelocityField, build_grid
-from .interpolation import StencilPlan, interp_bicubic, sample_velocity
+from .interpolation import interp_bicubic, sample_velocity
 from .separable import flux_form_radial, theta_step
 
 CHECKPOINT_MAGIC = "AXF1"
@@ -176,49 +176,38 @@ def diffuse_vorticity(
 # advection
 
 
-def _departure(grid: HalfPlaneGrid, u: VelocityField, dt: float, plan: StencilPlan):
-    """Departure points (r, z) of the cell centres over dt, with plan located there.
+def _departure(grid: HalfPlaneGrid, u: VelocityField, dt: float):
+    """Departure points (dep_r, dep_z) of the cell centres over dt.
 
     An RK2 midpoint integration of dx/dt = u backward in time, u held fixed
-    over the step.  plan is first located at the midpoints to sample u, then
-    relocated at the departure points, so a caller that owns one plan
-    computes every step's departures in the same arrays.  They depend only
-    on u and dt, so a march whose velocity stays the same object may compute
-    them once and hand them to every step.
+    over the step.  They depend only on u and dt, so a march whose velocity
+    stays the same object may compute them once and hand them to every step.
     """
     r2d, z2d = grid.meshes()
     rm = r2d - 0.5 * dt * u.u_r
     zm = z2d - 0.5 * dt * u.u_z
-    urm, uzm = sample_velocity(u, rm, zm, plan)
-    dep_r = r2d - dt * urm
-    dep_z = z2d - dt * uzm
-    plan.locate(dep_r, dep_z)
-    return dep_r, dep_z, plan
+    urm, uzm = sample_velocity(u, rm, zm)
+    return r2d - dt * urm, z2d - dt * uzm
 
 
 def advect_semi_lagrangian(
     field: ScalarField, u: VelocityField, dt: float, source=None, t: float = 0.0,
-    departure=None, plan: StencilPlan | None = None,
+    departure=None,
 ) -> ScalarField:
     """Transport a field along characteristics of u over time dt.
 
     Departure points come from _departure (departure, when given, is its
-    result for this u and dt, its plan still located there; otherwise
-    _departure relocates plan, a StencilPlan the caller owns, or a new
-    one); values are picked up by bicubic interpolation with the field's
-    own axis parity, clipped to the range of the 4x4 stencil each value
-    reads, so trajectories dipping across r = 0 are handled by reflection
-    and no new extremum appears.  A source, callable (t, r, z) -> array, is added by
-    the trapezoid rule along the characteristic: at the departure point at
-    time t and at the arrival point at time t + dt.
+    result for this u and dt); values are picked up by bicubic interpolation
+    with the field's own axis parity, clipped to the range of the 4x4
+    stencil each value reads, so trajectories dipping across r = 0 are
+    handled by reflection and no new extremum appears.  A source, callable
+    (t, r, z) -> array, is added by the trapezoid rule along the
+    characteristic: at the departure point at time t and at the arrival
+    point at time t + dt.
     """
     grid = field.grid
-    if departure is None:
-        departure = _departure(grid, u, dt, StencilPlan(grid) if plan is None else plan)
-    dep_r, dep_z, plan = departure
-    vals = interp_bicubic(
-        field.values, grid, dep_r, dep_z, field.axis_symmetry, clip=True, plan=plan
-    )
+    dep_r, dep_z = _departure(grid, u, dt) if departure is None else departure
+    vals = interp_bicubic(field.values, grid, dep_r, dep_z, field.axis_symmetry, clip=True)
     if source is not None:
         r2d, z2d = grid.meshes()
         vals = vals + 0.5 * dt * (source(t, dep_r, dep_z) + source(t + dt, r2d, z2d))
@@ -227,16 +216,16 @@ def advect_semi_lagrangian(
 
 def _split_step(
     field: ScalarField, u: VelocityField, dt: float, diffuse, source=None, t: float = 0.0,
-    departure=None, plan: StencilPlan | None = None,
+    departure=None,
 ) -> ScalarField:
     """One Strang-split step: diffuse dt/2, advect dt with source, diffuse dt/2.
 
     diffuse(field, dt=half_dt) -> field is the diffusion half step (a copy
-    at nu = 0); source, t, departure and plan are passed to
+    at nu = 0); source, t and departure are passed to
     advect_semi_lagrangian.
     """
     field = diffuse(field, dt=0.5 * dt)
-    field = advect_semi_lagrangian(field, u, dt, source, t, departure, plan)
+    field = advect_semi_lagrangian(field, u, dt, source, t, departure)
     return diffuse(field, dt=0.5 * dt)
 
 
@@ -297,9 +286,7 @@ def _advanced(state: FluidState, xi: ScalarField, dt: float) -> FluidState:
     )
 
 
-def step_viscous(
-    state: FluidState, dt: float, theta: float = 0.5, stencil: StencilPlan | None = None
-) -> FluidState:
+def step_viscous(state: FluidState, dt: float, theta: float = 0.5) -> FluidState:
     """One Strang-split step: diffuse dt/2, advect dt, diffuse dt/2, re-solve.
 
     The advection uses the velocity extrapolated to the step midpoint from
@@ -307,12 +294,9 @@ def step_viscous(
     run) advects with state.u.  The returned state carries state.u and dt as
     its history.  theta weights the diffusion, whose theta_step rejects a bad
     dt or theta even at nu = 0; the boundary treatment comes from the state.
-    stencil, when given, is a StencilPlan on the state's grid that the caller
-    owns; the step relocates it at its departure points (run passes one plan
-    to every step).  Without one the step builds its own.
     """
     diffuse = partial(diffuse_relative_vorticity, nu=state.nu, theta=theta)
-    xi = _split_step(state.xi, _midpoint_velocity(state, dt), dt, diffuse, plan=stencil)
+    xi = _split_step(state.xi, _midpoint_velocity(state, dt), dt, diffuse)
     return _advanced(state, xi, dt)
 
 
@@ -423,13 +407,9 @@ def run(
     the run dies, so partial diagnostics survive).
     """
     plan = (plan or TimeStepPlan()).validated()
-    if t_final < state.t:
-        raise ValueError(f"t_final {t_final} is before state time {state.t}")
-    if plan.scheme == "xi_semilagrangian":
-        # one stencil plan for the whole run, relocated by every step
-        stepper, extra = step_viscous, (StencilPlan(state.grid),)
-    else:
-        stepper, extra = step_conservative_omega, ()
+    if not (state.t <= t_final < np.inf):
+        raise ValueError(f"t_final {t_final} must be finite and not before state time {state.t}")
+    stepper = step_viscous if plan.scheme == "xi_semilagrangian" else step_conservative_omega
 
     records = []
     if sample_hook is not None:
@@ -450,7 +430,7 @@ def run(
         dt = plan.dt if plan.dt is not None else cfl_dt(state, plan.cfl, dt_max=cap)
         dt = min(dt, t_final - state.t)
         try:
-            state = stepper(state, dt, plan.theta, *extra)
+            state = stepper(state, dt, plan.theta)
         except NonFiniteFieldError as exc:
             # fields validate finiteness on construction; any other error is
             # not a numerical failure and propagates unchanged

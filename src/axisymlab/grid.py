@@ -81,6 +81,15 @@ class HalfPlaneGrid:
         return SeparableOperator(stream_operator_radial(self), self.hz, self.nz, "dirichlet")
 
     @cached_property
+    def stencil_plan(self):
+        """The interpolation.StencilPlan that every interp_bicubic on this grid
+        reads through: built by the first read and relocated by each read at
+        other points."""
+        from .interpolation import StencilPlan  # interpolation imports this module
+
+        return StencilPlan(self)
+
+    @cached_property
     def _diffusion_slots(self) -> dict:
         return {}
 

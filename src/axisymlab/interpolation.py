@@ -12,10 +12,10 @@ Bermejo & Staniforth, Mon. Wea. Rev. 120 (1992) 2622).  The result never
 leaves the range of the data it reads, so no new extremum appears and the
 max norm cannot grow; the clip only acts near extrema of the data.
 
-The indices and weights of a set of query points form a StencilPlan, which
-serves every field read at those points.  A loop that reads new points on
-every step owns one plan and relocates it in place (StencilPlan.locate), so
-its arrays are allocated once; a relocated plan reads only at its new points.
+The indices and weights of a set of query points form a StencilPlan.  Each
+grid keeps one (HalfPlaneGrid.stencil_plan), which interp_bicubic relocates
+in place unless it sits at points equal by value to the queries, so reads at
+the same points share it and a loop allocates its arrays once.
 """
 
 from __future__ import annotations
@@ -84,30 +84,31 @@ class StencilPlan:
     For one set of query points on one grid: the flat index of each point's
     4x4 stencil corner in the raveled padded array (base), the Catmull-Rom
     weights along r (rows 0-3 of weights) and z (rows 4-7), the points
-    mirrored across the axis (r < 0) and the query shape.
-    interp_bicubic(..., plan=) interpolates any field on the grid at the
-    points by 16 gathers, so fields read at the same points share one plan.
+    mirrored across the axis (r < 0), a copy of the points and their shape.
+    _apply interpolates any field on the grid at the points by 16 gathers.
 
-    locate() relocates a plan in place: it rebuilds the plan at new query
-    points into the same arrays, which are allocated again only when the
-    number of points changes.  A plan that a loop relocates on every step
-    therefore has one owner, the loop, and a relocated plan reads only at
-    its new points: interp_bicubic rejects any query arrays other than the
-    ones it was last located at.  StencilPlan(grid) starts at no points.
+    locate() rebuilds the plan at new query points in place; its arrays are
+    allocated again only when the number of points changes.  The plan keeps
+    the grid's spacing and shape, not the grid, so a grid that keeps its
+    plan is freed without the cyclic collector.
     """
 
-    def __init__(self, grid: HalfPlaneGrid, r_query=(), z_query=()):
-        self.grid = grid
+    def __init__(self, grid: HalfPlaneGrid):
+        self.hr, self.hz, self.z_min = grid.hr, grid.hz, grid.z_min
         self.grid_shape = (grid.nr, grid.nz)
         self.row = grid.nz + 4
-        self.base = None
-        self.locate(r_query, z_query)
+        self.base = self.shape = None
 
-    def locate(self, r_query, z_query) -> None:
-        """Rebuild the plan at the query points (r_query, z_query), in place."""
-        self.r_query = self.z_query = None  # reads nothing until located
-        rq = np.asarray(r_query, dtype=np.float64)
-        zq = np.asarray(z_query, dtype=np.float64)
+    def sits_at(self, rq: np.ndarray, zq: np.ndarray) -> bool:
+        """Whether the plan was last located at points equal by value to (rq, zq);
+        such points, 0.0 and -0.0 alike, locate a plan with the same bits."""
+        return (rq.shape == zq.shape == self.shape
+                and np.array_equal(rq, self.points[0].reshape(rq.shape))
+                and np.array_equal(zq, self.points[1].reshape(zq.shape)))
+
+    def locate(self, rq: np.ndarray, zq: np.ndarray) -> None:
+        """Rebuild the plan in place at the float64 query points (rq, zq)."""
+        self.shape = None  # sits nowhere until located
         n = rq.size
         if self.base is None or self.base.size != n:
             self.base = np.empty(n, dtype=np.int64)
@@ -115,18 +116,17 @@ class StencilPlan:
             self.weights = np.empty((8, n))
             self.wr, self.wz = self.weights[:4], self.weights[4:]
             self._scratch = np.empty((4, n))
-        self.shape = rq.shape
-        grid = self.grid
+            self.points = np.empty((2, n))
         nr, nz = self.grid_shape
         x, y, fx, fy = (s.reshape(rq.shape) for s in self._scratch)
         np.less(rq, 0.0, out=self.mirrored.reshape(rq.shape))
         # x = clip(|r| / hr - 0.5, -0.5, nr - 0.5), y likewise along z
         np.abs(rq, out=x)
-        x /= grid.hr
+        x /= self.hr
         x -= 0.5
         np.clip(x, -0.5, nr - 0.5, out=x)
-        np.subtract(zq, grid.z_min, out=y)
-        y /= grid.hz
+        np.subtract(zq, self.z_min, out=y)
+        y /= self.hz
         y -= 0.5
         np.clip(y, -0.5, nz - 0.5, out=y)
         np.floor(x, out=fx)
@@ -142,7 +142,9 @@ class StencilPlan:
         np.copyto(self.base.reshape(rq.shape), fx, casting="unsafe")
         _catmull_rom_weights(x, self.wr.reshape(4, *rq.shape), fx, fy)
         _catmull_rom_weights(y, self.wz.reshape(4, *rq.shape), fx, fy)
-        self.r_query, self.z_query = r_query, z_query
+        np.copyto(self.points[0].reshape(rq.shape), rq)
+        np.copyto(self.points[1].reshape(rq.shape), zq)
+        self.shape = rq.shape
 
     def _apply(self, values: np.ndarray, axis_symmetry: str, clip: bool) -> np.ndarray:
         if values.shape != self.grid_shape:
@@ -182,41 +184,32 @@ def interp_bicubic(
     z_query: np.ndarray,
     axis_symmetry: str = "even",
     clip: bool = False,
-    plan: StencilPlan | None = None,
 ) -> np.ndarray:
     """Interpolate cell-centered values at arbitrary points.
 
     Query points with r < 0 are mapped to their mirror image, with a sign
     flip when axis_symmetry is "odd".  Points outside the grid are clamped
     to the boundary cell layer.  clip=True clamps each value to the min/max
-    of the 4x4 stencil it was interpolated from.  plan, when given, is the
-    StencilPlan last located at these very query arrays on this grid (any
-    other arrays raise ValueError); without one a plan is built for this
-    call.
+    of the 4x4 stencil it was interpolated from.  The read goes through the
+    grid's StencilPlan, relocated here unless it sits at these points.
     """
     if axis_symmetry not in ("even", "odd", "none"):
         raise ValueError(f"unknown axis symmetry {axis_symmetry!r}")
-    if plan is None:
-        plan = StencilPlan(grid, r_query, z_query)
-    elif r_query is not plan.r_query or z_query is not plan.z_query:
-        raise ValueError(f"plan for points of shape {plan.shape} located at other arrays, "
-                         f"queries of shape {np.shape(r_query)}")
+    rq = np.asarray(r_query, dtype=np.float64)
+    zq = np.asarray(z_query, dtype=np.float64)
+    plan = grid.stencil_plan
+    if not plan.sits_at(rq, zq):
+        plan.locate(rq, zq)
     return plan._apply(values, axis_symmetry, clip)
 
 
-def sample_velocity(u: VelocityField, r_query, z_query, plan: StencilPlan | None = None):
+def sample_velocity(u: VelocityField, r_query, z_query):
     """Sample both velocity components at arbitrary points.
 
     The radial component is odd across the axis and the axial component is
     even, so trajectories crossing r = 0 see a smooth field.  Both
-    components are read through one StencilPlan: plan, when given, is a
-    plan on u's grid that the caller owns, relocated here at the points;
-    without one a plan is built for this call.
+    components are read through the grid's one StencilPlan, located once.
     """
-    if plan is None:
-        plan = StencilPlan(u.grid, r_query, z_query)
-    else:
-        plan.locate(r_query, z_query)
-    ur = interp_bicubic(u.u_r, u.grid, r_query, z_query, "odd", plan=plan)
-    uz = interp_bicubic(u.u_z, u.grid, r_query, z_query, "even", plan=plan)
+    ur = interp_bicubic(u.u_r, u.grid, r_query, z_query, "odd")
+    uz = interp_bicubic(u.u_z, u.grid, r_query, z_query, "even")
     return ur, uz

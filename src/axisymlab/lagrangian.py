@@ -37,7 +37,7 @@ import numpy as np
 from .biot_savart import stream_operator_radial
 from .evolution import _advective_dt, _departure, _split_step, diffuse_relative_vorticity, run
 from .grid import HalfPlaneGrid, ScalarField, VelocityField
-from .interpolation import StencilPlan, interp_bicubic, sample_velocity
+from .interpolation import interp_bicubic, sample_velocity
 from .separable import theta_step
 from .test_functions import SpaceTimeBump
 
@@ -72,8 +72,8 @@ class _Series:
         times = np.asarray(times, dtype=np.float64)
         if times.ndim != 1 or len(fields) != times.size or times.size < 1:
             raise ValueError("times and fields must have equal positive length")
-        if np.any(np.diff(times) <= 0.0):
-            raise ValueError("snapshot times must be strictly increasing")
+        if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0.0)):
+            raise ValueError("snapshot times must be finite and strictly increasing")
         grid = fields[0].grid
         role = getattr(fields[0], "role", None)
         for f in fields:
@@ -181,8 +181,8 @@ def trace_flow(
         raise ValueError("seeds must have shape (n, 2)")
     if np.any(seeds[:, 0] <= 0.0):
         raise ValueError("seeds must lie strictly inside the half plane (r > 0)")
-    if T < 0.0:
-        raise ValueError("trace duration must be nonnegative")
+    if not (0.0 <= T < np.inf):
+        raise ValueError(f"trace duration must be finite and nonnegative, got {T}")
     grid = series.grid
     if n_steps is None:
         bound = _advective_dt(grid, series.max_speeds(), cfl)
@@ -198,10 +198,8 @@ def trace_flow(
     active = np.ones(n, dtype=bool)
     flagged = np.zeros(n, dtype=bool)
 
-    plan = StencilPlan(grid)  # relocated at every RK4 stage
-
     def vel(t, pos):
-        ur, uz = sample_velocity(series.at(t), pos[:, 0], pos[:, 1], plan)
+        ur, uz = sample_velocity(series.at(t), pos[:, 0], pos[:, 1])
         return np.column_stack([ur, uz])
 
     x = seeds.copy()
@@ -463,7 +461,7 @@ def _as_source(chi):
     if chi is None or callable(chi):
         return chi
     if isinstance(chi, ScalarSeries):
-        return lambda t, r, z: chi.sample(t, r, z)
+        return chi.sample
     raise ValueError(
         f"source must be None, a callable, or a ScalarSeries, got {type(chi).__name__}"
     )
@@ -488,22 +486,20 @@ def _march(velocity, datum: ScalarField, grid, T: float, n_steps: int, diffuse, 
     The step from t to t + dt advects with velocity(t + dt / 2).  Departure
     points depend only on that velocity and dt, so they are computed again
     only when velocity returns a different object (every step of a
-    time-varying series, once on a frozen one), each time into the march's
-    one StencilPlan.
+    time-varying series, once on a frozen one).
     """
-    if n_steps < 1 or T <= 0.0:
-        raise ValueError("need T > 0 and at least one step")
+    if n_steps < 1 or not (0.0 < T < np.inf):
+        raise ValueError(f"need a finite T > 0 and at least one step, got T = {T}")
     if datum.grid != grid:
         raise ValueError("transported data and velocity series grids differ")
     dt = T / n_steps
     times = dt * np.arange(n_steps + 1)
     fields = [datum.copy()]
     u_held = departure = None
-    plan = StencilPlan(grid)
     for t in times[:-1]:
         u = velocity(t + 0.5 * dt)
         if u is not u_held:
-            u_held, departure = u, _departure(grid, u, dt, plan)
+            u_held, departure = u, _departure(grid, u, dt)
         fields.append(_split_step(fields[-1], u, dt, diffuse, source, t, departure))
     return times, fields
 

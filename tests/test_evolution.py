@@ -350,6 +350,17 @@ def test_plan_rejects_infinite_dt():
         run(st, 0.5, TimeStepPlan(dt=np.inf))
 
 
+@pytest.mark.parametrize("t_final", [np.nan, np.inf])
+def test_run_rejects_a_non_finite_t_final(t_final):
+    # inf - 1e-12 * inf is NaN, so run's loop never ran and the unadvanced
+    # state came back as if it had reached t_final
+    g = build_grid(16, 16, 2.0, -1.0, 1.0)
+    st = make_state(g, np.zeros((16, 16)), 0.0)
+    for scheme in ("xi_semilagrangian", "omega_conservative"):
+        with pytest.raises(ValueError, match="must be finite"):
+            run(st, t_final, TimeStepPlan(dt=0.1, scheme=scheme))
+
+
 def test_step_requires_dt():
     # both steppers reject a step length dt <= 0 and a weight theta outside
     # [0.5, 1], at nu = 0 too

@@ -1,9 +1,11 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from axisymlab.grid import VelocityField, build_grid
 from axisymlab.interpolation import (
-    StencilPlan,
     _catmull_rom_weights,
     _padded,
     interp_bicubic,
@@ -117,10 +119,10 @@ def test_plan_matches_the_reference_loop_byte_for_byte(parity, clip, shape):
     got = interp_bicubic(values, g, rq, zq, parity, clip)
     assert got.shape == shape
     assert got.tobytes() == expect.tobytes()
-    # a plan built once reads any field at its points
-    plan = StencilPlan(g, rq, zq)
+    # the grid's plan, left at these points, reads any field there
+    assert g.stencil_plan.sits_at(rq, zq)
     other = _field(g, rng)[::-1].copy()
-    got = interp_bicubic(other, g, rq, zq, parity, clip, plan=plan)
+    got = interp_bicubic(other, g, rq, zq, parity, clip)
     assert got.tobytes() == _reference_bicubic(other, g, rq, zq, parity, clip).tobytes()
 
 
@@ -134,30 +136,50 @@ def test_sample_velocity_shares_one_plan():
     assert uz.tobytes() == interp_bicubic(u.u_z, g, rq, zq, "even").tobytes()
 
 
-def test_plan_rejects_other_points_and_grids():
+def test_plan_rejects_fields_of_other_grids():
     g = build_grid(12, 16, 1.2, -0.8, 0.8)
     rng = np.random.default_rng(5)
     rq, zq = _queries(g, rng, (30,))
-    plan = StencilPlan(g, rq, zq)
-    with pytest.raises(ValueError, match="plan for points"):
-        interp_bicubic(np.zeros((12, 16)), g, rq[:10], zq[:10], plan=plan)
-    with pytest.raises(ValueError, match="on a plan for"):
-        interp_bicubic(np.zeros((8, 16)), g, rq, zq, plan=plan)
-    # relocated at other points of the same shape, the plan reads neither
-    # its old queries nor copies of its new ones
-    rq2, zq2 = _queries(g, rng, (30,))
-    plan.locate(rq2, zq2)
     values = _field(g, rng)
-    for r, z in ((rq, zq), (rq2.copy(), zq2), (rq2, zq2.copy())):
-        with pytest.raises(ValueError, match="plan for points"):
-            interp_bicubic(values, g, r, z, plan=plan)
-    got = interp_bicubic(values, g, rq2, zq2, plan=plan)
-    assert got.tobytes() == _reference_bicubic(values, g, rq2, zq2).tobytes()
-    # a relocation that fails halfway leaves a plan that reads nowhere
+    with pytest.raises(ValueError, match="on a plan for"):
+        interp_bicubic(np.zeros((8, 16)), g, rq, zq)
+    # a relocation that fails halfway leaves a plan that sits nowhere, so
+    # the next read at its old points relocates it there again
+    interp_bicubic(values, g, rq, zq)
     with pytest.raises(ValueError, match="broadcast"):
-        plan.locate(rq, zq[:7])
-    with pytest.raises(ValueError, match="plan for points"):
-        interp_bicubic(values, g, rq2, zq2, plan=plan)
+        g.stencil_plan.locate(rq, zq[:7])
+    assert not g.stencil_plan.sits_at(rq, zq)
+    got = interp_bicubic(values, g, rq, zq)
+    assert got.tobytes() == _reference_bicubic(values, g, rq, zq).tobytes()
+
+
+def test_read_follows_points_moved_in_place():
+    # the plan compares points by value: a caller that moves its query
+    # arrays in place and reads again reads at the new points
+    g = build_grid(12, 16, 1.2, -0.8, 0.8)
+    rng = np.random.default_rng(6)
+    values = _field(g, rng)
+    rq, zq = _queries(g, rng, (40, 3))
+    interp_bicubic(values, g, rq, zq, "odd", True)
+    for moved, step in ((rq, 0.05), (zq, -0.03)):
+        moved += step
+        got = interp_bicubic(values, g, rq, zq, "odd", True)
+        assert got.tobytes() == _reference_bicubic(values, g, rq, zq, "odd", True).tobytes()
+
+
+def test_grid_is_freed_with_its_plan_without_the_collector():
+    # the plan keeps the grid's spacing and shape, not the grid, so a grid
+    # that has read leaves no reference cycle
+    g = build_grid(12, 16, 1.2, -0.8, 0.8)
+    rq, zq = _queries(g, np.random.default_rng(7), (30,))
+    gc.disable()
+    try:
+        interp_bicubic(np.ones((12, 16)), g, rq, zq)
+        ref = weakref.ref(g)
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_weights_in_place_equal_the_reference_bit_for_bit():
@@ -170,26 +192,28 @@ def test_weights_in_place_equal_the_reference_bit_for_bit():
 
 
 def test_relocated_plan_equals_a_fresh_one():
-    # one plan walks through point sets of other sizes and shapes (the last
-    # reuses the arrays of the one before), with mirrored points and points
-    # clamped past every side, and reads each set as the reference loop does
+    # the grid's one plan walks through point sets of other sizes and shapes
+    # (the last reuses the arrays of the one before), with mirrored points
+    # and points clamped past every side, and reads each set as the
+    # reference loop does
     g = build_grid(12, 16, 1.2, -0.8, 0.8)
     rng = np.random.default_rng(9)
     values = _field(g, rng)
-    plan = StencilPlan(g)
-    assert plan.shape == (0,)
+    plan = g.stencil_plan
+    assert plan.shape is None
+    weights = None
     for shape in ((500,), (25, 30), (500,), (20, 25)):
         rq, zq = _queries(g, rng, shape)
         assert np.any(rq < 0.0) and np.any(rq > g.r_max) and np.any(zq > g.z_max)
-        weights = plan.weights
-        plan.locate(rq, zq)
-        assert (plan.weights is weights) == (shape == (20, 25))
         for parity in ("even", "odd", "none"):
             for clip in (False, True):
-                got = interp_bicubic(values, g, rq, zq, parity, clip, plan=plan)
+                got = interp_bicubic(values, g, rq, zq, parity, clip)
                 assert got.shape == shape
                 expect = _reference_bicubic(values, g, rq, zq, parity, clip)
                 assert got.tobytes() == expect.tobytes()
+        assert g.stencil_plan is plan
+        assert (plan.weights is weights) == (shape == (20, 25))
+        weights = plan.weights
 
 
 def _stencil_range(values, grid, rq, zq, parity):

@@ -153,6 +153,41 @@ def test_trace_flow_validation():
         trace_flow(series, [[1.0, 0.0]], T=1.0, n_steps=0)
 
 
+@pytest.mark.parametrize("n_steps", [None, 4])
+@pytest.mark.parametrize("T", [np.nan, np.inf])
+def test_trace_flow_rejects_a_non_finite_duration(T, n_steps):
+    g = build_grid(16, 16, 2.0, -1.0, 1.0)
+    series = VelocitySeries.frozen(uniform_axial(g, 1.0), 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        trace_flow(series, [[1.0, 0.0]], T=T, n_steps=n_steps)
+
+
+@pytest.mark.parametrize("times", [[0.0, np.nan], [np.nan, 1.0], [np.nan], [0.0, np.inf]])
+@pytest.mark.parametrize("kind", ["velocity", "scalar"])
+def test_series_rejects_non_finite_snapshot_times(kind, times):
+    # NaN compares False, so a NaN time passed the increasing-times check
+    g = build_grid(16, 16, 2.0, -1.0, 1.0)
+    if kind == "velocity":
+        cls, field = VelocitySeries, uniform_axial(g, 1.0)
+    else:
+        cls, field = ScalarSeries, ScalarField(g, np.ones((16, 16)), role="passive_scalar")
+    with pytest.raises(ValueError, match="finite"):
+        cls(times, [field] * len(times))
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+@pytest.mark.parametrize("T", [np.nan, np.inf])
+def test_transport_rejects_a_non_finite_duration(T, direction):
+    g = build_grid(16, 16, 2.0, -1.0, 1.0)
+    series = VelocitySeries.frozen(uniform_axial(g, 1.0), 1.0)
+    theta0 = ScalarField(g, np.ones((16, 16)), role="passive_scalar")
+    with pytest.raises(ValueError, match="finite"):
+        if direction == "forward":
+            solve_forward_transport(series, theta0, T, 4)
+        else:
+            solve_backward_transport(series, None, T, 4)
+
+
 def stretching_flow_case(n, a=0.3, T=0.5, n_snap=16):
     """Incompressible stretching u = (a r, -2 a z): the map is
     (r, z) -> (r e^{at}, z e^{-2at}) and omega = r xi is transported with
@@ -522,9 +557,10 @@ def test_march_keeps_departures_without_changing_a_value():
         f.values.tobytes() for f in fresh[::-1]]
 
 
-def test_each_loop_owns_one_stencil_plan(monkeypatch):
-    # the xi route's run, a trace and a time-varying march each build one
-    # plan and relocate it; the omega route needs none
+def test_one_stencil_plan_per_grid(monkeypatch):
+    # every bicubic read on a grid goes through the grid's one plan: an xi
+    # run, an omega run, a trace, a time-varying march and a transport with
+    # a ScalarSeries source build one plan between them
     built = []
     real_init = StencilPlan.__init__
 
@@ -533,24 +569,19 @@ def test_each_loop_owns_one_stencil_plan(monkeypatch):
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(StencilPlan, "__init__", counting)
-
-    def count(fn, *args, **kwargs):
-        built.clear()
-        out = fn(*args, **kwargs)
-        return len(built), out
-
     g = build_grid(16, 32, 3.0, -3.0, 3.0)
     r2d, z2d = g.meshes()
     st = make_state(g, gaussian_ring_xi(g, 1.0, 0.0, 0.3, 1.0), 1e-2)
-    for scheme, plans in (("xi_semilagrangian", 1), ("omega_conservative", 0)):
-        n, (final, _) = count(run, st, 0.1, TimeStepPlan(dt=0.02, scheme=scheme))
-        assert (n, final.step_index) == (plans, 5)
+    for scheme in ("xi_semilagrangian", "omega_conservative"):
+        final, _ = run(st, 0.1, TimeStepPlan(dt=0.02, scheme=scheme))
+        assert final.step_index == 5
     series = VelocitySeries([0.0, 0.5], [_swirl(g), uniform_axial(g, 0.3)])
     seeds = np.column_stack([np.linspace(0.2, 1.5, 12), np.linspace(-1.0, 1.0, 12)])
-    assert count(trace_flow, series, seeds, 0.5, n_steps=4)[0] == 1
+    trace_flow(series, seeds, 0.5, n_steps=4)
     theta = ScalarField(g, np.exp(-((r2d - 0.9) ** 2 + z2d**2) / 0.1), role="passive_scalar")
-    diffuse = partial(diffuse_relative_vorticity, nu=1e-2)
-    assert count(_march, series.at, theta, g, 0.5, 5, diffuse, None)[0] == 1
+    _march(series.at, theta, g, 0.5, 5, partial(diffuse_relative_vorticity, nu=1e-2), None)
+    solve_forward_transport(series, theta, 0.5, 5, source=ScalarSeries.frozen(theta, 0.5))
+    assert built == [g.stencil_plan]
 
 
 def test_forward_transport_constant_source():
